@@ -2,7 +2,9 @@
 // workloads (batched GEMM, autotune candidate sweep, chaos campaign) at
 // 1/2/4/8 engine workers, with the determinism contract checked alongside
 // every measurement — a worker count that changed a single bit would be a
-// correctness bug, not a perf result.
+// correctness bug, not a perf result. Every cell, the serial one included,
+// is compared against a first serial run, so state that one run leaks into
+// the next shows up too. Any "NO" cell makes the binary exit 1.
 //
 // Numbers are honest for the machine that ran them: the `cpus` meta field
 // records std::thread::hardware_concurrency(), and on a single-core host
@@ -18,6 +20,7 @@
 #include "core/autotune.hpp"
 #include "core/batched.hpp"
 #include "core/profile_cache.hpp"
+#include "model/predictor.hpp"
 #include "serve/chaos.hpp"
 
 namespace kami {
@@ -25,6 +28,17 @@ namespace {
 
 constexpr int kReps = 5;
 const int kWorkerCounts[] = {1, 2, 4, 8};
+
+/// Cleared by any cell whose output differs from the first serial run.
+bool g_all_identical = true;
+
+/// Every rep starts from cold learned state: the autotune prescreen reads
+/// the process-wide predictor, so a predictor warmed by an earlier rep
+/// would prune differently and read as a determinism failure.
+void cold_start() {
+  core::ProfileCache::global().clear();
+  model::Predictor::global().reset();
+}
 
 double min_seconds(const std::function<void()>& body) {
   double best = std::numeric_limits<double>::infinity();
@@ -59,7 +73,8 @@ void measure(const Workload& w, TablePrinter& table) {
   for (const int workers : kWorkerCounts) {
     const double best = min_seconds([&] { w.run(workers); });
     if (workers == 1) serial = best;
-    const bool same = workers == 1 || w.identical(workers);
+    const bool same = w.identical(workers);
+    g_all_identical = g_all_identical && same;
     table.add_row({w.name, std::to_string(workers), fmt_ms(best),
                    fmt_double(serial / best, 2) + "x", same ? "yes" : "NO"});
     bench::run_report().set_meta(
@@ -89,7 +104,7 @@ void body() {
     }
   }
   const auto run_batched = [&](int workers) {
-    core::ProfileCache::global().clear();
+    cold_start();
     core::GemmOptions opt;
     opt.threads = workers;
     return core::kami_batched_gemm<fp16_t>(dev, As, Bs, core::Algo::OneD, opt);
@@ -98,13 +113,13 @@ void body() {
 
   // Autotune: the full default candidate grid at 128^3, cold cache per run.
   const auto run_autotune = [&](int workers) {
-    core::ProfileCache::global().clear();
+    cold_start();
     return core::autotune_gemm<fp16_t>(dev, 128, 128, 128, bench::kBlocks,
                                        core::default_candidates(), workers);
   };
   const auto autotune_serial = run_autotune(1);
 
-  // Chaos campaign: 120 replication-parallel points, fresh server each.
+  // Chaos campaign: 120 replication-parallel points, a fresh fleet each.
   const auto run_campaign = [&](int workers) {
     return serve::run_campaign(5, 120, workers);
   };
@@ -134,12 +149,14 @@ void body() {
        [&](int w) { run_campaign(w); },
        [&](int w) {
          const auto r = run_campaign(w);
-         return r.ran == campaign_serial.ran &&
-                r.served_ok == campaign_serial.served_ok &&
-                r.typed_errors == campaign_serial.typed_errors &&
-                r.by_rung == campaign_serial.by_rung &&
-                r.by_code == campaign_serial.by_code &&
-                r.violations.size() == campaign_serial.violations.size();
+         const auto& s = campaign_serial;
+         return r.ran == s.ran && r.served_ok == s.served_ok &&
+                r.typed_errors == s.typed_errors && r.failovers == s.failovers &&
+                r.hedged == s.hedged && r.storm_requests == s.storm_requests &&
+                r.storm_rejected == s.storm_rejected && r.by_code == s.by_code &&
+                r.by_rung == s.by_rung && r.by_fault == s.by_fault &&
+                r.by_device == s.by_device && r.by_fleet_size == s.by_fleet_size &&
+                r.violations.size() == s.violations.size();
        }}};
 
   TablePrinter table({"workload", "workers", "best ms", "speedup", "bit-identical"});
@@ -152,5 +169,11 @@ void body() {
 }  // namespace kami
 
 int main(int argc, char** argv) {
-  return kami::bench::bench_main(argc, argv, "parallel_scaling", kami::body);
+  const int rc = kami::bench::bench_main(argc, argv, "parallel_scaling", kami::body);
+  if (rc != 0) return rc;
+  if (!kami::g_all_identical) {
+    std::cerr << "parallel_scaling: a cell differs from the first serial run\n";
+    return 1;
+  }
+  return 0;
 }

@@ -12,8 +12,14 @@
 //     ((S0 + S1) + S2)... in accumulator precision. `layers` replicates
 //     exactly that association; 1D/2D use layers = 1.
 //   * Both the simulated mma and this loop accumulate with the same
-//     `acc += to_acc(a) * to_acc(b)` expression, so any FP contraction the
-//     compiler applies is applied identically.
+//     `acc += to_acc(a) * to_acc(b)` expression, rounded as a separate
+//     multiply and add. That holds only because the build pins
+//     -ffp-contract=off (src/util/CMakeLists.txt, inherited by every
+//     consumer): contraction is a per-expression compiler choice, so with
+//     FMA available (-march=x86-64-v3, aarch64) GCC's default
+//     -ffp-contract=fast fuses some chains and not others, and the host
+//     reference, the simulated kernels, and this loop stop agreeing bit for
+//     bit.
 //
 // Why the SIMD kernel is bit-identical to the scalar one (KAMI_NO_SIMD):
 //   * The inner product is vectorized over j — C columns — and each vector

@@ -1,9 +1,11 @@
 #include "serve/chaos.hpp"
 
+#include <chrono>
 #include <cmath>
-#include <cstring>
+#include <future>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "baselines/reference.hpp"
 #include "exec/engine.hpp"
@@ -60,14 +62,50 @@ verify::FaultHooks hooks_for(ChaosFault f, long long alloc_countdown) {
 
 namespace {
 
+FleetConfig fleet_config_for(const ChaosPoint& p,
+                             const std::shared_ptr<obs::FlightRecorder>& flight,
+                             const std::shared_ptr<SloTracker>& slo,
+                             const std::string& prefix) {
+  // One device is the single-server case: the verify point's own device.
+  FleetConfig cfg = p.fleet_size == 1
+                        ? one_device_fleet(sim::device_by_name(p.base.device))
+                        : table3_fleet();
+  for (FleetDeviceConfig& dev : cfg.devices) dev.queue_depth = p.queue_depth;
+  // Manual drain: no worker threads, so queue fill order, overflow reroutes,
+  // and execution order are functions of the point alone.
+  cfg.async_workers_per_device = 0;
+  cfg.probe_cooldown_requests = p.probe_cooldown;
+  cfg.blackout_failure_threshold = 1;
+  cfg.hedge_deadline_requests = p.hedge;
+  cfg.route_skew = p.route_skew;
+  // Hermetic planner state: routing must not read (or warm) the process-wide
+  // ProfileCache/Predictor, or a replay would route differently.
+  cfg.profile_cache = std::make_shared<core::ProfileCache>();
+  cfg.predictor = std::make_shared<model::Predictor>();
+  cfg.flight = flight;
+  cfg.slo = slo;
+  cfg.request_id_prefix = prefix;
+  return cfg;
+}
+
+/// One storm request's operands (kept so its result can be bit-checked).
+struct StormRequest {
+  Matrix<fp16_t> A;
+  Matrix<fp16_t> B;
+  std::future<FleetResult<fp16_t>> future;
+};
+
+/// One from-scratch run of the point's scenario. `digest` receives the
+/// outcome fields a replay must reproduce byte for byte.
 template <Scalar T>
-ChaosOutcome run_impl(GemmServer& server, const ChaosPoint& p) {
+ChaosOutcome run_scenario(const ChaosPoint& p,
+                          const std::shared_ptr<obs::FlightRecorder>& flight,
+                          const std::shared_ptr<SloTracker>& slo,
+                          const std::string& prefix, std::string& digest) {
   ChaosOutcome out;
-  const sim::DeviceSpec& dev = sim::device_by_name(p.base.device);
-  if (!dev.supports(num_traits<T>::precision)) {
-    out.rung_label = "skipped_unsupported";
-    return out;  // random_point never produces these; belt and braces
-  }
+  FleetServer fleet(fleet_config_for(p, flight, slo, prefix));
+  for (std::size_t i = 0; i < fleet.device_count(); ++i)
+    if (p.blackout_mask & (1u << i)) fleet.set_blackout(i, true);
 
   Rng rng(p.base.data_seed);
   const Matrix<T> A = random_matrix<T>(p.base.m, p.base.k, rng);
@@ -79,52 +117,179 @@ ChaosOutcome run_impl(GemmServer& server, const ChaosPoint& p) {
   opt.record_regions = false;
   opt.deadline_cycles = p.deadline_cycles;
 
-  ServeResult<T> res;
+  // -- queue-overflow storm: a burst of tiny async requests against the
+  // point's deliberately small shard queues, then one deterministic drain.
+  std::vector<StormRequest> storm;
+  storm.reserve(static_cast<std::size_t>(p.storm_requests));
+  Rng storm_rng(p.base.data_seed ^ 0x5702A11B5ull);
+  for (int i = 0; i < p.storm_requests; ++i) {
+    const std::size_t dims[] = {16, 32};
+    const std::size_t m = dims[storm_rng.uniform_index(2)];
+    const std::size_t n = dims[storm_rng.uniform_index(2)];
+    const std::size_t k = dims[storm_rng.uniform_index(2)];
+    StormRequest req{random_matrix<fp16_t>(m, k, storm_rng),
+                     random_matrix<fp16_t>(k, n, storm_rng), {}};
+    req.future = fleet.submit_async<fp16_t>(core::Algo::OneD, req.A, req.B);
+    storm.push_back(std::move(req));
+  }
+  fleet.drain();
+  for (std::size_t i = 0; i < storm.size(); ++i) {
+    StormRequest& req = storm[i];
+    if (!req.future.valid() ||
+        req.future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      out.violation = true;
+      out.detail = "request lost: storm future " + std::to_string(i) +
+                   " not ready after drain()";
+      out.rung_label = "crash";
+      return out;
+    }
+    const FleetResult<fp16_t> r = req.future.get();
+    if (r.ok())
+      ++out.storm_ok;
+    else if (r.result.code == ErrorCode::ResourceExhausted)
+      ++out.storm_rejected;
+    const std::string detail = chaos_detail::contract_violation(
+        r.result, req.A, req.B, sim::ExecMode::Full, 0.0);
+    if (!detail.empty()) {
+      out.violation = true;
+      out.detail = "storm request " + std::to_string(i) + ": " + detail;
+      out.rung_label = "error";
+      return out;
+    }
+  }
+
+  // -- the main request, under the point's injected fault.
+  FleetResult<T> res;
   {
     const verify::ScopedFault guard(chaos_detail::hooks_for(p.fault, p.alloc_countdown));
     try {
-      res = server.serve<T>(p.base.algo, dev, A, B, opt);
+      res = fleet.serve<T>(p.base.algo, A, B, opt);
     } catch (const std::exception& e) {
       out.violation = true;
-      out.detail = std::string("exception escaped serve(): ") + e.what();
+      out.detail = std::string("exception escaped FleetServer::serve(): ") + e.what();
       out.rung_label = "crash";
       return out;
     } catch (...) {
       out.violation = true;
-      out.detail = "non-std exception escaped serve()";
+      out.detail = "non-std exception escaped FleetServer::serve()";
       out.rung_label = "crash";
       return out;
     }
   }
-  out.code = res.code;
-  out.message = res.message;
-  out.rung_label = res.ok() ? res.rung_label : "error";
+  out.code = res.result.code;
+  out.message = res.result.message;
+  out.rung_label = res.ok() ? res.result.rung_label : "error";
+  out.device = res.device;
+  out.failovers = res.failovers;
+  out.hedged = res.hedged;
 
-  // Bit-correct-or-typed: a degraded or fault-retried result must be exactly
-  // what a clean run would have produced; a failure must be well-typed.
-  const std::string detail =
-      chaos_detail::contract_violation(res, A, B, p.mode, p.deadline_cycles);
+  std::string detail =
+      chaos_detail::contract_violation(res.result, A, B, p.mode, p.deadline_cycles);
+  if (detail.empty() && res.result.code == ErrorCode::DeviceUnavailable &&
+      p.blackout_mask == 0)
+    detail = "device_unavailable error with no blacked-out device: " + res.result.message;
   if (!detail.empty()) {
     out.violation = true;
     out.detail = detail;
+    return out;
+  }
+
+  // -- failover bit-identity: fault-free success must be bit-identical to a
+  // direct serve on the device the fleet says it used — failover and hedging
+  // may change *where* a request ran, never *what* it produced.
+  if (p.fault == ChaosFault::None && res.ok() && res.device_index >= 0 &&
+      !res.result.degenerate &&
+      (res.result.from_reference || sim::mode_computes(p.mode))) {
+    GemmServer direct;
+    const ServeResult<T> d = direct.serve<T>(
+        p.base.algo, fleet.device(static_cast<std::size_t>(res.device_index)), A, B, opt);
+    if (!d.ok()) {
+      out.violation = true;
+      out.detail = "failover identity: direct serve on \"" + res.device +
+                   "\" failed (" + error_code_name(d.code) + ") where the fleet served ok";
+      return out;
+    }
+    if (!chaos_detail::bits_equal(res.result.C, d.C)) {
+      out.violation = true;
+      out.detail = "failover identity: fleet result on \"" + res.device +
+                   "\" is not bit-identical to a direct serve on the same device";
+      return out;
+    }
+  }
+
+  // -- recovery: with the blackout cleared, the probe state machine must
+  // return every marked-down device to Healthy within cooldown + 2 requests.
+  if (p.blackout_mask != 0) {
+    for (std::size_t i = 0; i < fleet.device_count(); ++i) fleet.set_blackout(i, false);
+    Rng pump_rng(p.base.data_seed ^ 0x9ECB0EEull);
+    const Matrix<fp16_t> pa = random_matrix<fp16_t>(16, 16, pump_rng);
+    const Matrix<fp16_t> pb = random_matrix<fp16_t>(16, 16, pump_rng);
+    for (int i = 0; i < p.probe_cooldown + 2; ++i)
+      fleet.serve<fp16_t>(core::Algo::OneD, pa, pb);
+    for (std::size_t i = 0; i < fleet.device_count(); ++i) {
+      if (fleet.health(i) != DeviceHealth::Healthy) {
+        out.violation = true;
+        out.detail = "device \"" + fleet.device(i).name + "\" stuck " +
+                     device_health_name(fleet.health(i)) + " after the blackout cleared "
+                     "and " + std::to_string(p.probe_cooldown + 2) + " probe requests";
+        return out;
+      }
+    }
+  }
+
+  std::ostringstream os;
+  os << error_code_name(out.code) << '|' << out.message << '|' << out.device << '|'
+     << out.failovers << '|' << out.rung_label << '|'
+     << chaos_detail::fmt(res.end_to_end_cycles) << '|' << out.storm_ok << '|'
+     << out.storm_rejected;
+  digest = os.str();
+  return out;
+}
+
+template <Scalar T>
+ChaosOutcome run_point_impl(const ChaosPoint& p,
+                            const std::shared_ptr<obs::FlightRecorder>& flight,
+                            const std::shared_ptr<SloTracker>& slo,
+                            const std::string& prefix) {
+  std::string first_digest;
+  ChaosOutcome out = run_scenario<T>(p, flight, slo, prefix, first_digest);
+  if (out.violation) return out;
+
+  // Deterministic replay: the whole scenario again from scratch — fresh
+  // fleet, fresh hermetic planner state, same ids — must reproduce the same
+  // outcome byte-for-byte — code and message included, so a deadline abort
+  // must recur at the same point. (Observability detached: it must not
+  // matter.)
+  std::string replay_digest;
+  const ChaosOutcome replay = run_scenario<T>(p, nullptr, nullptr, prefix, replay_digest);
+  if (replay.violation) return replay;
+  if (first_digest != replay_digest) {
+    out.violation = true;
+    out.detail =
+        "nondeterministic replay: \"" + first_digest + "\" vs \"" + replay_digest + "\"";
   }
   return out;
 }
 
-ChaosOutcome dispatch(GemmServer& server, const ChaosPoint& p) {
-  switch (p.base.precision) {
-    case Precision::FP64: return run_impl<double>(server, p);
-    case Precision::FP32: return run_impl<float>(server, p);
-    case Precision::TF32: return run_impl<tf32_t>(server, p);
-    case Precision::FP16: return run_impl<fp16_t>(server, p);
-    case Precision::BF16: return run_impl<bf16_t>(server, p);
-    case Precision::FP8E4M3: return run_impl<fp8_e4m3_t>(server, p);
+void fold_outcome(ChaosReport& report, std::uint64_t seed, const ChaosPoint& p,
+                  const ChaosOutcome& o) {
+  ++report.ran;
+  ++report.by_fault[chaos_fault_name(p.fault)];
+  ++report.by_rung[o.rung_label];
+  ++report.by_fleet_size[p.fleet_size == 1 ? "1_device"
+                                           : std::to_string(p.fleet_size) + "_devices"];
+  if (o.code == ErrorCode::Ok && !o.violation) ++report.served_ok;
+  if (o.code != ErrorCode::Ok) {
+    ++report.typed_errors;
+    ++report.by_code[error_code_name(o.code)];
   }
-  ChaosOutcome out;
-  out.violation = true;
-  out.detail = "unknown precision in chaos point";
-  out.rung_label = "crash";
-  return out;
+  if (o.failovers > 0) report.failovers += static_cast<std::size_t>(o.failovers);
+  if (o.hedged) ++report.hedged;
+  report.storm_requests += static_cast<std::size_t>(p.storm_requests);
+  report.storm_rejected += static_cast<std::size_t>(o.storm_rejected);
+  if (!o.device.empty()) ++report.by_device[o.device];
+  if (o.violation)
+    report.violations.push_back(ChaosViolation{seed, to_string(p), o.detail});
 }
 
 }  // namespace
@@ -145,7 +310,7 @@ ChaosPoint chaos_point(std::uint64_t seed) {
   p.base = verify::random_point(seed);
   // Independent stream for the chaos conditions so the underlying verify
   // point is exactly the one `kami_verify repro <seed>` rebuilds.
-  Rng rng(seed ^ 0xC4A05C4A05ull);
+  Rng rng(seed ^ 0xF1EE7CA0501ull);
 
   const double fault_roll = rng.uniform();
   if (fault_roll < 0.45) {
@@ -170,6 +335,26 @@ ChaosPoint chaos_point(std::uint64_t seed) {
   p.mode = mode_roll < 0.70  ? sim::ExecMode::Full
            : mode_roll < 0.85 ? sim::ExecMode::TimingOnly
                                : sim::ExecMode::NumericsOnly;
+
+  // The fleet, then the adversity drawn for it. The blackout mask may cover
+  // every device — a full outage must still come back as a typed error,
+  // never a crash. Skew and hedging need a second device to mean anything.
+  p.fleet_size = rng.bernoulli(0.5) ? 1 : 4;
+  const auto devices = static_cast<std::uint32_t>(p.fleet_size);
+  if (rng.bernoulli(0.55))
+    p.blackout_mask =
+        1u + static_cast<std::uint32_t>(rng.uniform_index((1u << devices) - 1u));
+  if (devices > 1 && rng.bernoulli(0.4)) {
+    p.route_skew.resize(devices);
+    for (double& s : p.route_skew)
+      s = std::exp(rng.uniform(std::log(0.25), std::log(4.0)));
+  }
+  p.hedge = devices > 1 && rng.bernoulli(0.25);
+  if (rng.bernoulli(0.35)) {
+    p.storm_requests = 4 + static_cast<int>(rng.uniform_index(13));
+    p.queue_depth = 1 + rng.uniform_index(3);
+  }
+  p.probe_cooldown = 1 + static_cast<int>(rng.uniform_index(3));
   return p;
 }
 
@@ -178,111 +363,74 @@ std::string to_string(const ChaosPoint& p) {
   os << verify::to_string(p.base) << " fault=" << chaos_fault_name(p.fault);
   if (p.fault == ChaosFault::AllocFailure) os << " alloc_countdown=" << p.alloc_countdown;
   os << " deadline=" << chaos_detail::fmt(p.deadline_cycles)
-     << " exec=" << sim::exec_mode_name(p.mode);
+     << " exec=" << sim::exec_mode_name(p.mode) << " fleet=" << p.fleet_size
+     << " blackout=0x" << std::hex << p.blackout_mask << std::dec;
+  if (!p.route_skew.empty()) {
+    os << " skew=[";
+    for (std::size_t i = 0; i < p.route_skew.size(); ++i)
+      os << (i ? "," : "") << chaos_detail::fmt(p.route_skew[i]);
+    os << "]";
+  }
+  os << " hedge=" << (p.hedge ? "true" : "false") << " storm=" << p.storm_requests
+     << " qdepth=" << p.queue_depth << " cooldown=" << p.probe_cooldown;
   return os.str();
 }
 
-ChaosOutcome run_chaos_point(GemmServer& server, const ChaosPoint& p) {
-  ChaosOutcome out = dispatch(server, p);
-  if (out.violation || out.code != ErrorCode::DeadlineExceeded) return out;
-
-  // Deadline determinism: two fresh-server replays (no breaker state carried
-  // in from the campaign) must abort identically — same code, same abort
-  // point, byte-identical message.
-  ChaosOutcome replays[2];
-  for (int i = 0; i < 2; ++i) {
-    GemmServer fresh;
-    replays[i] = dispatch(fresh, p);
+ChaosOutcome run_chaos_point(const ChaosPoint& p,
+                             const std::shared_ptr<obs::FlightRecorder>& flight,
+                             const std::shared_ptr<SloTracker>& slo,
+                             const std::string& prefix) {
+  switch (p.base.precision) {
+    case Precision::FP64: return run_point_impl<double>(p, flight, slo, prefix);
+    case Precision::FP32: return run_point_impl<float>(p, flight, slo, prefix);
+    case Precision::TF32: return run_point_impl<tf32_t>(p, flight, slo, prefix);
+    case Precision::FP16: return run_point_impl<fp16_t>(p, flight, slo, prefix);
+    case Precision::BF16: return run_point_impl<bf16_t>(p, flight, slo, prefix);
+    case Precision::FP8E4M3: return run_point_impl<fp8_e4m3_t>(p, flight, slo, prefix);
   }
-  if (replays[0].code != replays[1].code || replays[0].message != replays[1].message) {
-    out.violation = true;
-    out.detail = "nondeterministic deadline abort: replays differ (" +
-                 std::string(error_code_name(replays[0].code)) + " \"" +
-                 replays[0].message + "\" vs " +
-                 std::string(error_code_name(replays[1].code)) + " \"" +
-                 replays[1].message + "\")";
-  }
+  ChaosOutcome out;
+  out.violation = true;
+  out.detail = "unknown precision in chaos point";
+  out.rung_label = "crash";
   return out;
-}
-
-namespace {
-
-void fold_outcome(ChaosReport& report, std::uint64_t seed, const ChaosPoint& p,
-                  const ChaosOutcome& o) {
-  ++report.ran;
-  ++report.by_fault[chaos_fault_name(p.fault)];
-  ++report.by_rung[o.rung_label];
-  if (o.code == ErrorCode::Ok && !o.violation) ++report.served_ok;
-  if (o.code != ErrorCode::Ok) {
-    ++report.typed_errors;
-    ++report.by_code[error_code_name(o.code)];
-    if (o.code == ErrorCode::DeadlineExceeded) ++report.deadline_replays;
-  }
-  if (o.violation)
-    report.violations.push_back(ChaosViolation{seed, to_string(p), o.detail});
-}
-
-}  // namespace
-
-ChaosReport run_chaos(std::uint64_t base_seed, std::size_t points,
-                      const std::shared_ptr<obs::FlightRecorder>& flight,
-                      const std::shared_ptr<SloTracker>& slo) {
-  ChaosReport report;
-  ServeConfig cfg;
-  cfg.flight = flight;
-  cfg.slo = slo;
-  GemmServer server(cfg);
-  for (std::size_t i = 0; i < points; ++i) {
-    const std::uint64_t seed = base_seed + i;
-    const ChaosPoint p = chaos_point(seed);
-    const ChaosOutcome o = run_chaos_point(server, p);
-    fold_outcome(report, seed, p, o);
-  }
-  return report;
 }
 
 ChaosReport run_campaign(std::uint64_t base_seed, std::size_t points, int workers,
                          const std::shared_ptr<obs::FlightRecorder>& flight,
                          const std::shared_ptr<SloTracker>& slo) {
-  // Replication-parallel variant of run_chaos: every point gets a fresh
-  // server, so points never interact through breaker state and the campaign
-  // is order-independent. Outcomes land in seed-indexed slots and the
-  // report is folded serially in seed order — bit-identical (counts, map
-  // contents, violation order) for every worker count. Observability rides
-  // the same mechanism: each point traces into its own recorder/tracker
-  // (request ids prefixed by the seed, so they stay globally unique), and
-  // the per-point contents are folded into `flight`/`slo` in seed order —
-  // the dump bytes never depend on the worker count.
+  // Replication-parallel: every point gets a fresh fleet (hermetic planner
+  // state included) and its own recorder/tracker, so points never share
+  // state and the campaign is order-independent. Outcomes land in
+  // seed-indexed slots and fold serially in seed order — the report and
+  // the observability contents never depend on the worker count.
   const exec::ExecutionEngine engine(workers);
   struct PointOutcome {
     ChaosPoint point;
     ChaosOutcome outcome;
+    std::vector<obs::RequestTrace> traces;
+    // shared_ptr: SloTracker is immovable, slots must be move-assignable.
+    std::shared_ptr<SloTracker> slo;
   };
-  const auto outcomes =
-      engine.parallel_map<PointOutcome>(points, [&](std::size_t i) {
-        PointOutcome po;
-        const std::uint64_t seed = base_seed + i;
-        po.point = chaos_point(seed);
-        ServeConfig cfg;
-        if (flight) {
-          cfg.flight = std::make_shared<obs::FlightRecorder>(flight->config());
-          cfg.request_id_prefix = "seed" + std::to_string(seed);
-        }
-        if (slo) cfg.slo = std::make_shared<SloTracker>();
-        GemmServer server(cfg);
-        po.outcome = run_chaos_point(server, po.point);
-        if (cfg.flight) po.outcome.traces = cfg.flight->snapshot();
-        po.outcome.slo = cfg.slo;
-        return po;
-      });
+  const auto outcomes = engine.parallel_map<PointOutcome>(points, [&](std::size_t i) {
+    PointOutcome po;
+    const std::uint64_t seed = base_seed + i;
+    po.point = chaos_point(seed);
+    std::shared_ptr<obs::FlightRecorder> point_flight;
+    if (flight) point_flight = std::make_shared<obs::FlightRecorder>(flight->config());
+    if (slo) po.slo = std::make_shared<SloTracker>();
+    po.outcome =
+        run_chaos_point(po.point, point_flight, po.slo, "seed" + std::to_string(seed));
+    if (point_flight) po.traces = point_flight->snapshot();
+    return po;
+  });
 
   ChaosReport report;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const PointOutcome& po = outcomes[i];
     fold_outcome(report, base_seed + i, po.point, po.outcome);
     if (flight)
-      for (const obs::RequestTrace& t : po.outcome.traces) flight->record(t);
-    if (slo && po.outcome.slo) slo->merge_from(*po.outcome.slo);
+      for (const obs::RequestTrace& t : po.traces) flight->record(t);
+    if (slo && po.slo) slo->merge_from(*po.slo);
   }
   return report;
 }

@@ -1,23 +1,35 @@
 // Chaos campaign: randomized resilience fuzzing of the serving layer.
 //
 // Each chaos point is a verify::CheckPoint (device, precision, algorithm,
-// shape, tuning, data seed) plus adversarial conditions: an injected fault
-// (transient or permanent cycle-accounting skew, a one-shot register
-// allocation failure), a randomized cycle deadline, and a randomized
-// execution mode. run_chaos_point() serves the point through a GemmServer
-// and checks the campaign's contract:
+// shape, tuning, data seed) plus adversity drawn from the same seed:
 //
-//   * no exception ever escapes serve() — typed ServeResult or nothing;
-//   * a successful result is bit-correct (KAMI-1D/2D and the reference rung
-//     match the reference rounding model bit-for-bit; KAMI-3D stays inside
-//     the precision tolerance vs the FP64 reference) — faults may slow or
-//     degrade a request but can never corrupt it;
-//   * a failed result carries a non-Ok code with a non-empty message, is
-//     never InternalInvariant (chaos injects faults only through armed
-//     sources, which classify as transient), and is DeadlineExceeded only
-//     when the point actually set a deadline;
-//   * deadline aborts are deterministic: two fresh-server replays of the
-//     same point abort at the same point with byte-identical messages.
+//   * request conditions — an injected fault (transient or permanent
+//     cycle-accounting skew, a one-shot register-allocation failure), a
+//     randomized cycle deadline, and a randomized execution mode;
+//   * a fleet — either one device (the verify point's own, so the point is
+//     a single-server request wrapped in the fleet's routing and queues) or
+//     the four Table-3 devices;
+//   * fleet adversity for that fleet — seeded blackouts (possibly every
+//     device), router-misprediction skew, queue-overflow storms against
+//     tiny shard queues in manual-drain mode, and hedged dispatch (which
+//     only fires with two or more devices).
+//
+// run_chaos_point() builds the point's fleet from scratch (manual drain,
+// hermetic planner state) and checks every invariant on every point:
+//
+//   * bit-correct-or-typed — chaos_detail::contract_violation on the main
+//     request and on every storm request's future: faults may slow or
+//     degrade a request but never corrupt it, and failures are well-typed;
+//   * no request lost or double-completed — every submitted future is ready
+//     after drain() and carries a result;
+//   * failover bit-identity — a fault-free success is bit-identical to a
+//     direct GemmServer::serve on the device the fleet reports it used:
+//     failover may change *where*, never *what*;
+//   * recovery — once blackouts clear, the probe state machine returns every
+//     marked-down device to Healthy within cooldown + 2 requests;
+//   * deterministic replay — the whole scenario rerun from scratch (fresh
+//     fleet, fresh planner state) reproduces the same code, message, serving
+//     device, failover count, rung, end-to-end cycles and storm outcome.
 //
 // Points are generated from a seed (chaos_point), so every violation is
 // replayable: `kami_chaos --seed <s> --points 1`.
@@ -31,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/fleet.hpp"
 #include "serve/serve.hpp"
 #include "verify/differential.hpp"
 
@@ -47,11 +60,20 @@ enum class ChaosFault {
 const char* chaos_fault_name(ChaosFault f) noexcept;
 
 struct ChaosPoint {
-  verify::CheckPoint base;
+  verify::CheckPoint base;  ///< the requested shape/precision/algo/tuning
   ChaosFault fault = ChaosFault::None;
   long long alloc_countdown = -1;  ///< AllocFailure: which allocation fails
   double deadline_cycles = 0.0;    ///< 0 = no deadline
   sim::ExecMode mode = sim::ExecMode::Full;
+
+  /// 1 = base.device alone; 4 = the Table-3 fleet.
+  std::size_t fleet_size = 4;
+  std::uint32_t blackout_mask = 0;  ///< bit i: device i dark at arrival
+  std::vector<double> route_skew;   ///< empty = honest router
+  bool hedge = false;               ///< hedge deadline-carrying requests
+  int storm_requests = 0;           ///< async burst size (0 = no storm)
+  std::size_t queue_depth = 4;      ///< shard queue capacity for this point
+  int probe_cooldown = 2;           ///< fleet requests before a Down shard probes
 };
 
 /// Deterministic seed -> point generation (replays exactly).
@@ -64,18 +86,24 @@ struct ChaosOutcome {
   bool violation = false;  ///< contract broken (crash, corruption, bad typing)
   std::string detail;      ///< violation description when violation
   ErrorCode code = ErrorCode::Ok;
-  std::string message;     ///< the ServeResult's error message (typed failures)
+  std::string message;     ///< the main request's error message (typed failures)
   std::string rung_label;  ///< rung that served, or "error"
-  /// Request traces the point's server recorded (campaign mode harvests
-  /// per-point recorders here, then folds them in seed order).
-  std::vector<obs::RequestTrace> traces;
-  /// Per-point SLO accounting in campaign mode (shared_ptr: SloTracker is
-  /// immovable, outcomes must be move-assignable for parallel_map).
-  std::shared_ptr<SloTracker> slo;
+  std::string device;      ///< device that answered ("" on fleet refusal)
+  int failovers = 0;
+  bool hedged = false;
+  int storm_ok = 0;        ///< storm futures that served
+  int storm_rejected = 0;  ///< storm futures typed-refused at admission
 };
 
-/// Serve one point under its chaos conditions and check the contract.
-ChaosOutcome run_chaos_point(GemmServer& server, const ChaosPoint& p);
+/// Run one chaos point: build the point's fleet, apply blackouts and skew,
+/// run the storm, serve the main request under its fault, check recovery,
+/// then replay the scenario from scratch and compare. `flight`/`slo` attach
+/// observability to the first run (the campaign passes per-point instances
+/// and folds them in seed order); request ids are "<request_id_prefix>-<n>".
+ChaosOutcome run_chaos_point(const ChaosPoint& p,
+                             const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
+                             const std::shared_ptr<SloTracker>& slo = nullptr,
+                             const std::string& request_id_prefix = "chaos");
 
 struct ChaosViolation {
   std::uint64_t seed = 0;
@@ -87,42 +115,33 @@ struct ChaosReport {
   std::size_t ran = 0;
   std::size_t served_ok = 0;
   std::size_t typed_errors = 0;
-  std::size_t deadline_replays = 0;  ///< determinism re-checks performed
-  std::map<std::string, std::size_t> by_code;   ///< error_code_name -> count
-  std::map<std::string, std::size_t> by_rung;   ///< rung label -> count
-  std::map<std::string, std::size_t> by_fault;  ///< injected fault -> count
+  std::size_t failovers = 0;       ///< total failed dispatches before an answer
+  std::size_t hedged = 0;          ///< points served by a hedged pair
+  std::size_t storm_requests = 0;  ///< total storm submissions checked
+  std::size_t storm_rejected = 0;  ///< typed admission refusals among them
+  std::map<std::string, std::size_t> by_code;        ///< error_code_name -> count
+  std::map<std::string, std::size_t> by_rung;        ///< rung label -> count
+  std::map<std::string, std::size_t> by_fault;       ///< injected fault -> count
+  std::map<std::string, std::size_t> by_device;      ///< device that answered
+  std::map<std::string, std::size_t> by_fleet_size;  ///< "1_device" / "4_devices"
   std::vector<ChaosViolation> violations;
 
   bool clean() const noexcept { return violations.empty(); }
 };
 
-/// Run points seeded base_seed, base_seed+1, ... through one shared server
-/// (so points interact through its circuit breakers, exactly like a real
-/// serving process under sustained faults). Inherently sequential: point i
-/// observes breaker state left by point i-1. When `flight`/`slo` are set
-/// they are attached to the shared server, so every request (including
-/// every typed failure) is traced and accounted.
-ChaosReport run_chaos(std::uint64_t base_seed, std::size_t points,
-                      const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
-                      const std::shared_ptr<SloTracker>& slo = nullptr);
-
-/// Replication-parallel campaign: the same seeded points, each served by a
-/// fresh GemmServer (no cross-point breaker coupling), fanned out across
-/// the execution engine. `workers` 0 = defer to KAMI_THREADS, 1 = serial.
-/// The report is bit-identical for every worker count; it differs from
-/// run_chaos only where run_chaos's shared breakers short-circuited points.
-/// When `flight`/`slo` are set, each point serves through a fresh per-point
-/// recorder/tracker (request ids prefixed "seed<n>") whose contents are
-/// folded into `flight`/`slo` serially in seed order — the dump is
-/// byte-identical at every worker count.
+/// Replication-parallel campaign: points seeded base_seed, base_seed+1, ...
+/// each against its own fresh fleet, fanned out across the execution engine
+/// (`workers` 0 = defer to KAMI_THREADS, 1 = serial). Each point owns all of
+/// its state — fleet, planner state, recorder, SLO tracker (request ids
+/// prefixed "seed<n>") — and outcomes fold serially in seed order, so the
+/// report and the `flight`/`slo` contents are byte-identical at every
+/// worker count.
 ChaosReport run_campaign(std::uint64_t base_seed, std::size_t points, int workers = 1,
                          const std::shared_ptr<obs::FlightRecorder>& flight = nullptr,
                          const std::shared_ptr<SloTracker>& slo = nullptr);
 
 // ---------------------------------------------------------------------------
-// Shared contract machinery: the single-server campaign above and the fleet
-// campaign (serve/fleet_chaos.hpp) enforce the same bit-correct-or-typed
-// contract on every ServeResult, from the same fault-arming table.
+// Contract machinery shared by the campaign and the tests.
 
 namespace chaos_detail {
 

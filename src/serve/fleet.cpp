@@ -25,6 +25,13 @@ FleetConfig table3_fleet() {
   return cfg;
 }
 
+FleetConfig one_device_fleet(const sim::DeviceSpec& spec) {
+  FleetConfig cfg;
+  cfg.devices.resize(1);
+  cfg.devices[0].spec = spec;
+  return cfg;
+}
+
 FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.devices.empty()) cfg_.devices = table3_fleet().devices;
   manual_drain_ = cfg_.async_workers_per_device == 0;

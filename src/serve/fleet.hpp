@@ -46,7 +46,12 @@
 // class SLO accounting where one fleet request — including its whole
 // failover chain — is exactly one record.
 //
-// Determinism contract (the fleet chaos campaign's ground): with manual
+// The fleet is also the only async serving path: submit_async's bounded
+// shard queues are the one queue in the serving layer, and a one-device
+// FleetConfig is the single-device async server (its queue wait lands in
+// fleet.queue_wait_cycles, the serving layer's one queue-wait measure).
+//
+// Determinism contract (the chaos campaign's ground): with manual
 // drain (async_workers_per_device == 0) and a private ProfileCache/Predictor,
 // identical request sequences against identical fleet state produce
 // identical routing decisions, health transitions, results, and typed
@@ -80,10 +85,10 @@ struct FleetDeviceConfig {
   sim::DeviceSpec spec;
   /// Capacity of this shard's bounded async request queue.
   std::size_t queue_depth = 64;
-  /// Per-device ladder/retry/breaker policy. The async fields and
-  /// request_id_prefix are overridden by the fleet (shard queues replace
-  /// GemmServer's own async machinery; ids become "<prefix>-d<i>-<n>"); the
-  /// SLO tracker is detached so one fleet request is one SLO record.
+  /// Per-device ladder/retry/breaker policy. The fleet overrides
+  /// request_id_prefix (ids become "<prefix>-d<i>-<n>") and the flight
+  /// recorder, and detaches the SLO tracker so one fleet request is one SLO
+  /// record.
   ServeConfig serve;
 };
 
@@ -136,6 +141,9 @@ struct FleetConfig {
 /// The paper's heterogeneous evaluation fleet: GH200, RTX 5090, 7900 XTX,
 /// Max 1100, default shard settings.
 FleetConfig table3_fleet();
+
+/// One shard on `spec`, default settings: the single-device async server.
+FleetConfig one_device_fleet(const sim::DeviceSpec& spec);
 
 /// A ServeResult plus where (and how) the fleet produced it.
 template <Scalar T>

@@ -3,9 +3,20 @@
 //
 //   kami_chaos [--points N] [--seed S] [--threads W] [--json out.json]
 //              [--flight out.json]
-//   kami_chaos --smoke [--json out.json]     small fixed campaign for CI
-//   kami_chaos --soak [...]                  shared-server sequential soak
-//   kami_chaos --fleet [...]                 multi-device FleetServer campaign
+//   kami_chaos --smoke [...]                 fixed 120-point campaign for CI
+//
+// Each point serves a randomized GEMM request through a fresh FleetServer —
+// one device (the point's own) or the four Table-3 devices, drawn from the
+// seed — under randomized adversity: injected transient/permanent faults,
+// allocation failures, cycle deadlines, execution modes, device blackouts,
+// router-misprediction skew, queue-overflow storms and hedged dispatch. It
+// checks the resilience contract: bit-correct result or typed error (never a
+// crash, hang, or silent corruption), no request lost, failover
+// bit-identity, probe recovery, and a byte-identical from-scratch replay.
+// Exit status is nonzero when any point violates the contract.
+//
+// Points own all of their state, so the campaign fans out across --threads
+// workers with a byte-identical report and flight dump.
 //
 // Every request is traced into a flight recorder (typed-error traces are
 // always retained; ok traces ride a bounded ring). --flight writes the
@@ -14,25 +25,6 @@
 // dump is auto-written to kami_chaos_flight.json so the evidence survives.
 // The --json run report carries a per-shape-class `slo` section
 // (kami.obs.run v2) with latency percentiles and deadline attainment.
-//
-// Each point serves a randomized GEMM request under randomized adversity
-// (injected transient/permanent faults, allocation failures, cycle deadlines,
-// execution modes) and checks the resilience contract: bit-correct result or
-// typed error — never a crash, hang, or silent corruption; deadline aborts
-// replay deterministically. Exit status is nonzero when any point violates
-// the contract.
-//
-// The default campaign gives every point a fresh server (order-independent,
-// so it fans out across --threads workers with a bit-identical report).
-// --soak keeps the original shared-server mode: points run sequentially and
-// interact through the server's circuit breakers.
-//
-// --fleet runs the FleetServer campaign instead (src/serve/fleet_chaos.hpp):
-// each point serves through a fresh four-device fleet under seeded blackouts,
-// router-misprediction skew, and queue-overflow storms, checking the fleet
-// contract (bit-correct-or-typed, no request lost, failover bit-identity,
-// probe recovery, deterministic replay) on top of the serving contract.
-// Replay a fleet violation with: kami_chaos --fleet --seed <s> --points 1.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -45,7 +37,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "serve/chaos.hpp"
-#include "serve/fleet_chaos.hpp"
 #include "serve/slo.hpp"
 #include "util/table.hpp"
 
@@ -57,10 +48,8 @@ int usage() {
   std::cerr << "usage:\n"
             << "  kami_chaos [--points N] [--seed S] [--threads W] [--json out.json]\n"
             << "             [--flight out.json]\n"
-            << "  kami_chaos --smoke [--json out.json] [--flight out.json]\n"
-            << "  kami_chaos --soak [--points N] [--seed S] [--json out.json]\n"
-            << "  kami_chaos --fleet [--points N] [--seed S] [--threads W]\n"
-            << "             [--json out.json] [--flight out.json]\n";
+            << "  kami_chaos --smoke [--seed S] [--threads W] [--json out.json]\n"
+            << "             [--flight out.json]\n";
   return 2;
 }
 
@@ -85,15 +74,14 @@ void write_flight(const kami::obs::FlightRecorder& flight, const std::string& pa
             << " traces, " << flight.error_count() << " errors)\n";
 }
 
-int run(std::uint64_t seed, std::size_t points, int threads, bool soak,
-        const std::string& json_path, const std::string& flight_path) {
+int run(std::uint64_t seed, std::size_t points, int threads, const std::string& json_path,
+        const std::string& flight_path) {
   // The recorder and SLO tracker are always on: the whole point of a flight
   // recorder is that the evidence already exists when a violation appears.
   const auto flight = std::make_shared<kami::obs::FlightRecorder>();
   const auto slo = std::make_shared<kami::serve::SloTracker>();
   const kami::serve::ChaosReport rep =
-      soak ? kami::serve::run_chaos(seed, points, flight, slo)
-           : kami::serve::run_campaign(seed, points, threads, flight, slo);
+      kami::serve::run_campaign(seed, points, threads, flight, slo);
 
   TablePrinter rungs = count_table(rep.by_rung);
   rungs.print(std::cout, "served by rung");
@@ -101,6 +89,10 @@ int run(std::uint64_t seed, std::size_t points, int threads, bool soak,
     TablePrinter codes = count_table(rep.by_code);
     codes.print(std::cout, "typed errors by code");
   }
+  TablePrinter devices = count_table(rep.by_device);
+  devices.print(std::cout, "served by device");
+  TablePrinter fleets = count_table(rep.by_fleet_size);
+  fleets.print(std::cout, "fleet sizes");
   TablePrinter faults = count_table(rep.by_fault);
   faults.print(std::cout, "injected faults");
 
@@ -111,15 +103,20 @@ int run(std::uint64_t seed, std::size_t points, int threads, bool soak,
 
   if (!json_path.empty()) {
     kami::obs::RunReport report("kami_chaos");
+    // No worker count in the meta: tables and meta are byte-identical at
+    // every --threads, and the report says so by construction.
     report.set_meta("base_seed", std::to_string(seed));
-    report.set_meta("mode", soak ? "soak" : "campaign");
-    report.set_meta("threads", std::to_string(threads));
     report.set_meta("ran", std::to_string(rep.ran));
     report.set_meta("served_ok", std::to_string(rep.served_ok));
     report.set_meta("typed_errors", std::to_string(rep.typed_errors));
-    report.set_meta("deadline_replays", std::to_string(rep.deadline_replays));
+    report.set_meta("failovers", std::to_string(rep.failovers));
+    report.set_meta("hedged", std::to_string(rep.hedged));
+    report.set_meta("storm_requests", std::to_string(rep.storm_requests));
+    report.set_meta("storm_rejected", std::to_string(rep.storm_rejected));
     report.set_meta("violations", std::to_string(rep.violations.size()));
     report.add_table("served by rung", rungs);
+    report.add_table("served by device", devices);
+    report.add_table("fleet sizes", fleets);
     report.add_table("injected faults", faults);
     report.add_table("contract violations", violations);
     report.set_metrics(kami::obs::MetricRegistry::global());
@@ -136,70 +133,11 @@ int run(std::uint64_t seed, std::size_t points, int threads, bool soak,
   }
 
   std::cout << (rep.clean() ? "OK" : "FAILED") << " (ran " << rep.ran << ", served "
-            << rep.served_ok << ", typed errors " << rep.typed_errors
-            << ", deadline replays " << rep.deadline_replays << ", violations "
-            << rep.violations.size() << ")\n"
-            << "replay any seed with: kami_chaos --seed <s> --points 1\n";
-  return rep.clean() ? 0 : 1;
-}
-
-int run_fleet(std::uint64_t seed, std::size_t points, int threads,
-              const std::string& json_path, const std::string& flight_path) {
-  const auto flight = std::make_shared<kami::obs::FlightRecorder>();
-  const auto slo = std::make_shared<kami::serve::SloTracker>();
-  const kami::serve::FleetChaosReport rep =
-      kami::serve::run_fleet_campaign(seed, points, threads, flight, slo);
-
-  TablePrinter rungs = count_table(rep.by_rung);
-  rungs.print(std::cout, "served by rung");
-  if (!rep.by_code.empty()) {
-    TablePrinter codes = count_table(rep.by_code);
-    codes.print(std::cout, "typed errors by code");
-  }
-  TablePrinter devices = count_table(rep.by_device);
-  devices.print(std::cout, "served by device");
-  TablePrinter faults = count_table(rep.by_fault);
-  faults.print(std::cout, "injected faults");
-
-  TablePrinter violations({"seed", "point", "detail"});
-  for (const auto& v : rep.violations)
-    violations.add_row({std::to_string(v.seed), v.point, v.detail});
-  if (!rep.violations.empty()) violations.print(std::cout, "contract violations");
-
-  if (!json_path.empty()) {
-    kami::obs::RunReport report("kami_chaos");
-    report.set_meta("base_seed", std::to_string(seed));
-    report.set_meta("mode", "fleet");
-    report.set_meta("threads", std::to_string(threads));
-    report.set_meta("ran", std::to_string(rep.ran));
-    report.set_meta("served_ok", std::to_string(rep.served_ok));
-    report.set_meta("typed_errors", std::to_string(rep.typed_errors));
-    report.set_meta("failovers", std::to_string(rep.failovers));
-    report.set_meta("hedged", std::to_string(rep.hedged));
-    report.set_meta("storm_requests", std::to_string(rep.storm_requests));
-    report.set_meta("storm_rejected", std::to_string(rep.storm_rejected));
-    report.set_meta("violations", std::to_string(rep.violations.size()));
-    report.add_table("served by rung", rungs);
-    report.add_table("served by device", devices);
-    report.add_table("injected faults", faults);
-    report.add_table("contract violations", violations);
-    report.set_metrics(kami::obs::MetricRegistry::global());
-    report.set_slo(slo->to_json());
-    write_report(report, json_path);
-  }
-
-  if (!flight_path.empty()) {
-    write_flight(*flight, flight_path);
-  } else if (!rep.clean()) {
-    write_flight(*flight, "kami_chaos_fleet_flight.json");
-  }
-
-  std::cout << (rep.clean() ? "OK" : "FAILED") << " (ran " << rep.ran << ", served "
             << rep.served_ok << ", typed errors " << rep.typed_errors << ", failovers "
             << rep.failovers << ", hedged " << rep.hedged << ", storm "
             << rep.storm_requests << " (" << rep.storm_rejected
             << " rejected), violations " << rep.violations.size() << ")\n"
-            << "replay any seed with: kami_chaos --fleet --seed <s> --points 1\n";
+            << "replay any seed with: kami_chaos --seed <s> --points 1\n";
   return rep.clean() ? 0 : 1;
 }
 
@@ -210,8 +148,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::size_t points = 500;
   int threads = 0;  // 0 = defer to KAMI_THREADS
-  bool soak = false;
-  bool fleet = false;
   std::string json_path;
   std::string flight_path;
   try {
@@ -221,14 +157,10 @@ int main(int argc, char** argv) {
       else if (args[i] == "--threads" && i + 1 < args.size()) threads = std::stoi(args[++i]);
       else if (args[i] == "--json" && i + 1 < args.size()) json_path = args[++i];
       else if (args[i] == "--flight" && i + 1 < args.size()) flight_path = args[++i];
-      else if (args[i] == "--smoke") points = 60;
-      else if (args[i] == "--soak") soak = true;
-      else if (args[i] == "--fleet") fleet = true;
+      else if (args[i] == "--smoke") points = 120;
       else return usage();
     }
-    if (fleet && soak) return usage();
-    if (fleet) return run_fleet(seed, points, threads, json_path, flight_path);
-    return run(seed, points, threads, soak, json_path, flight_path);
+    return run(seed, points, threads, json_path, flight_path);
   } catch (const std::exception& e) {
     std::cerr << "kami_chaos: " << e.what() << "\n";
     return 1;
