@@ -1,9 +1,11 @@
 // Execution-trace example: record the op-level timeline AND the phase
-// (region) tree of one KAMI-1D block, then emit:
-//   * an enriched Chrome/Perfetto trace (op events per warp + named phase
-//     tracks) — the simulator's equivalent of an Nsight timeline;
-//   * the kernel -> phase self/total-cycle tree;
-//   * warp-cycles per op kind attributed to the innermost phase.
+// spans (GemmOptions::record_regions) of one KAMI-1D block, then emit:
+//   * an enriched Chrome/Perfetto trace (op events per warp + one phase
+//     track per span depth) — the simulator's equivalent of an Nsight
+//     timeline;
+//   * the kernel -> phase self/total-cycle tree, the phase spans folded by
+//     obs::fold_span_tree (the run report's "regions" section);
+//   * warp-cycles per op kind attributed to the innermost phase span.
 //
 //   $ ./trace_timeline          # writes kami_1d_64.trace.json
 //   # open https://ui.perfetto.dev (or chrome://tracing) and load the file
@@ -17,12 +19,15 @@
 
 namespace {
 
-void print_region_tree(const kami::obs::RegionNode& node, int depth) {
+void print_region_tree(const kami::obs::Json& node, int depth) {
   using kami::fmt_double;
-  std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ') << node.name
-            << ": total " << fmt_double(node.total_cycles, 0) << " cycles, self "
-            << fmt_double(node.self_cycles(), 0) << " (x" << node.count << ")\n";
-  for (const auto& ch : node.children) print_region_tree(*ch, depth + 1);
+  std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ')
+            << node.at("name").as_string() << ": total "
+            << fmt_double(node.at("total_cycles").as_number(), 0) << " cycles, self "
+            << fmt_double(node.at("self_cycles").as_number(), 0) << " (x"
+            << static_cast<std::size_t>(node.at("count").as_number()) << ")\n";
+  if (const auto* children = node.find("children"))
+    for (const auto& ch : children->as_array()) print_region_tree(ch, depth + 1);
 }
 
 }  // namespace
@@ -62,10 +67,11 @@ int main() {
   t.print(std::cout, "KAMI-1D 64x64 FP16 on GH200: op-level timeline summary");
 
   std::cout << "\nPhase tree (simulated cycles):\n";
-  for (const auto& ch : r.regions->root().children) print_region_tree(*ch, 0);
+  const obs::Json regions = obs::fold_span_tree(*r.regions);
+  for (const auto& node : regions.as_array()) print_region_tree(node, 0);
 
   // kernel -> phase -> op-kind: warp-cycles per op attributed to the
-  // innermost region whose interval contains the op's issue time.
+  // innermost phase span whose interval contains the op's issue time.
   TablePrinter po({"phase", "op kind", "warp-cycles"});
   for (const auto& rb : obs::region_op_breakdown(*r.trace, *r.regions))
     for (const auto& [kind, cycles] : rb.op_cycles)

@@ -9,6 +9,7 @@
 // received pair and accumulates C(r, c).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/gemm.hpp"
@@ -43,11 +44,6 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
-  std::shared_ptr<obs::RegionProfiler> regions;
-  if (opt.record_regions)
-    regions = std::make_shared<obs::RegionProfiler>([&blk] { return blk.cycles(); });
-  obs::RegionProfiler* rp = regions.get();
-
   const auto row_of = [&](std::size_t id) { return id / q; };
   const auto col_of = [&](std::size_t id) { return id % q; };
 
@@ -60,9 +56,12 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   ARecv.reserve(p);
   BRecv.reserve(p);
 
-  obs::ScopedRegion r_kernel(rp, "kami_2d");
+  // Optional phase spans on the block's simulated clock, rooted at the kernel.
+  std::optional<obs::TraceBuilder> phases;
+  if (opt.record_regions) phases.emplace("kami_2d", "kami_2d", blk.cycles());
+  obs::TraceBuilder* tb = phases ? &*phases : nullptr;
   {
-    obs::ScopedRegion r_setup(rp, "setup");
+    obs::ScopedSpan r_setup(tb, blk, "setup");
     blk.phase([&](sim::Warp& w) {
       w.set_gmem_charging(opt.charge_global_io);
       const auto i = static_cast<std::size_t>(w.id());
@@ -90,7 +89,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
       // Write phase (lines 5-10): column-z warps publish A, row-z warps
       // publish B; owners also stage their own copies (Reg2Reg).
-      obs::ScopedRegion r_w(rp, "broadcast_write");
+      obs::ScopedSpan r_w(tb, blk, "broadcast_write");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         const std::size_t r = row_of(i), c = col_of(i);
@@ -107,7 +106,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_w.close();
 
       // Read phase (lines 12-15).
-      obs::ScopedRegion r_r(rp, "broadcast_read");
+      obs::ScopedSpan r_r(tb, blk, "broadcast_read");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         const std::size_t r = row_of(i), c = col_of(i);
@@ -132,7 +131,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_r.close();
 
       // Compute phase (line 17).
-      obs::ScopedRegion r_c(rp, "compute");
+      obs::ScopedSpan r_c(tb, blk, "compute");
       blk.phase([&](sim::Warp& w) {
         const auto i = static_cast<std::size_t>(w.id());
         w.mma(Ci[i], ARecv[i].view(), BRecv[i].view());
@@ -143,20 +142,19 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
   GemmResult<T> out{Matrix<T>(m, n), {}, plan.p, plan.smem_ratio, nullptr, nullptr};
   {
-    obs::ScopedRegion r(rp, "writeback");
+    obs::ScopedSpan r(tb, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto i = static_cast<std::size_t>(w.id());
       w.store_global_narrowed(out.C, Ci[i], row_of(i) * mb, col_of(i) * nb);
     });
     blk.sync();
   }
-  r_kernel.close();
 
   out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
   if (opt.record_trace) out.trace = blk.take_trace();
-  if (regions) {
-    regions->freeze();
-    out.regions = regions;
+  if (phases) {
+    phases->advance_to(blk.cycles());
+    out.regions = std::make_shared<obs::RequestTrace>(phases->finish());
   }
   return out;
 }

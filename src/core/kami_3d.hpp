@@ -64,11 +64,6 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   blk.set_deadline(opt.deadline_cycles);
   if (opt.record_trace) blk.enable_trace();
 
-  std::shared_ptr<obs::RegionProfiler> regions;
-  if (opt.record_regions)
-    regions = std::make_shared<obs::RegionProfiler>([&blk] { return blk.cycles(); });
-  obs::RegionProfiler* rp = regions.get();
-
   const auto layer_of = [&](std::size_t id) { return id / (c * c); };
   const auto row_of = [&](std::size_t id) { return (id % (c * c)) / c; };
   const auto col_of = [&](std::size_t id) { return id % c; };
@@ -82,9 +77,12 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   std::vector<sim::Fragment<T>> ARecv;
   ARecv.reserve(p);
 
-  obs::ScopedRegion r_kernel(rp, "kami_3d");
+  // Optional phase spans on the block's simulated clock, rooted at the kernel.
+  std::optional<obs::TraceBuilder> phases;
+  if (opt.record_regions) phases.emplace("kami_3d", "kami_3d", blk.cycles());
+  obs::TraceBuilder* tb = phases ? &*phases : nullptr;
   {
-    obs::ScopedRegion r_setup(rp, "setup");
+    obs::ScopedSpan r_setup(tb, blk, "setup");
     blk.phase([&](sim::Warp& w) {
       w.set_gmem_charging(opt.charge_global_io);
       const auto id = static_cast<std::size_t>(w.id());
@@ -127,7 +125,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
 
       // Write phase: owners publish slice s (A full-width; B only the
       // current column chunk).
-      obs::ScopedRegion r_w(rp, "broadcast_write");
+      obs::ScopedSpan r_w(tb, blk, "broadcast_write");
       blk.phase([&](sim::Warp& w) {
         const auto id = static_cast<std::size_t>(w.id());
         const std::size_t i = row_of(id), j = col_of(id), l = layer_of(id);
@@ -159,7 +157,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_w.close();
 
       // Read phase: same row+layer for A, same column+layer for B.
-      obs::ScopedRegion r_r(rp, "broadcast_read");
+      obs::ScopedSpan r_r(tb, blk, "broadcast_read");
       blk.phase([&](sim::Warp& w) {
         const auto id = static_cast<std::size_t>(w.id());
         const std::size_t i = row_of(id), j = col_of(id), l = layer_of(id);
@@ -190,7 +188,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
       r_r.close();
 
       // Compute phase: one partial-product MMA per warp per slice.
-      obs::ScopedRegion r_c(rp, "compute");
+      obs::ScopedSpan r_c(tb, blk, "compute");
       blk.phase([&](sim::Warp& w) {
         const auto id = static_cast<std::size_t>(w.id());
         w.mma(Ci[id], ARecv[id].view(), BRecv[id].view());
@@ -206,7 +204,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     // Allocation order (Pscratch then Ptail, same phase) reproduces the
     // seed's peak register set exactly, so overflow behavior and the
     // profiled register high-water are unchanged.
-    obs::ScopedRegion r_red(rp, "reduce");
+    obs::ScopedSpan r_red(tb, blk, "reduce");
     const std::size_t tail_cols = nc % red_cols;
     std::vector<std::optional<sim::Fragment<Acc>>> Pscratch(p), Ptail(p);
     blk.phase([&](sim::Warp& w) {
@@ -243,7 +241,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     r_red.close();
 
     // Store this chunk (layer 0 holds the reduced result).
-    obs::ScopedRegion r_wb(rp, "writeback");
+    obs::ScopedSpan r_wb(tb, blk, "writeback");
     blk.phase([&](sim::Warp& w) {
       const auto id = static_cast<std::size_t>(w.id());
       if (layer_of(id) != 0) return;
@@ -251,13 +249,12 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
     });
     blk.sync();
   }
-  r_kernel.close();
 
   out.profile = sim::profile_block(blk, model::gemm_flops(m, n, k));
   if (opt.record_trace) out.trace = blk.take_trace();
-  if (regions) {
-    regions->freeze();
-    out.regions = regions;
+  if (phases) {
+    phases->advance_to(blk.cycles());
+    out.regions = std::make_shared<obs::RequestTrace>(phases->finish());
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "obs/trace_span.hpp"
 #include "util/table.hpp"
 
 namespace kami::obs {
@@ -32,6 +33,10 @@ const Breakdown* RunReport::find_breakdown(std::string_view name) const noexcept
   for (const auto& b : breakdowns_)
     if (b.name == name) return &b;
   return nullptr;
+}
+
+void RunReport::set_regions(const RequestTrace& phases) {
+  regions_ = fold_span_tree(phases);
 }
 
 Json RunReport::to_json() const {
@@ -107,6 +112,28 @@ Json RunReport::to_json() const {
   return doc;
 }
 
+namespace {
+
+/// One "regions" node: a string name, numeric count/total/self cycles, and
+/// optionally an array of nodes of the same shape.
+void check_region_node(const Json& node) {
+  const Json* name = node.is_object() ? node.find("name") : nullptr;
+  if (name == nullptr || !name->is_string())
+    throw SchemaError("every regions node needs a string name");
+  for (const char* key : {"count", "total_cycles", "self_cycles"}) {
+    const Json* v = node.find(key);
+    if (v == nullptr || !v->is_number())
+      throw SchemaError("region \"" + name->as_string() + "\" needs a numeric " + key);
+  }
+  if (const Json* children = node.find("children")) {
+    if (!children->is_array())
+      throw SchemaError("region \"" + name->as_string() + "\" children must be an array");
+    for (const auto& ch : children->as_array()) check_region_node(ch);
+  }
+}
+
+}  // namespace
+
 RunReport RunReport::from_json(const Json& doc) {
   if (!doc.is_object()) throw SchemaError("run document must be a JSON object");
   const Json* schema = doc.find("schema");
@@ -157,7 +184,11 @@ RunReport RunReport::from_json(const Json& doc) {
   }
 
   if (const Json* metrics = doc.find("metrics")) report.metrics_ = *metrics;
-  if (const Json* regions = doc.find("regions")) report.regions_ = *regions;
+  if (const Json* regions = doc.find("regions")) {
+    if (!regions->is_array()) throw SchemaError("regions must be an array");
+    for (const auto& node : regions->as_array()) check_region_node(node);
+    report.regions_ = *regions;
+  }
   if (const Json* slo = doc.find("slo")) report.slo_ = *slo;
 
   if (const Json* ju = doc.find("utilization")) {

@@ -1,9 +1,9 @@
 // RunReport: the machine-readable artifact of one benchmark or profiling
 // run — the tables a binary printed, structured cycle breakdowns, a metric
-// snapshot, the region tree, and an optional utilization timeline — with a
-// stable, versioned JSON schema ("kami.obs.run", version 2) so exported
-// runs can be reloaded, reprinted, and diffed by `tools/kami_prof` long
-// after the code that produced them has changed.
+// snapshot, a kernel's folded phase-span tree, and an optional utilization
+// timeline — with a stable, versioned JSON schema ("kami.obs.run", version
+// 2) so exported runs can be reloaded, reprinted, validated, and diffed by
+// `tools/kami_prof` long after the code that produced them has changed.
 //
 // Schema v2 (all sections except schema/schema_version/name are optional):
 //   {
@@ -15,7 +15,8 @@
 //     "breakdowns": [{"name": str,
 //                     "categories": [{"name": str, "cycles": num}]}],
 //     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-//     "regions": [{name, count, total_cycles, self_cycles, children}],
+//     "regions": [{name, count, total_cycles, self_cycles, children}]
+//                 (obs::fold_span_tree of a kernel's phase spans),
 //     "utilization": {"bucket_cycles": num, "wall_cycles": num,
 //                     "resources": [{"name": str, "busy": [num]}]},
 //     "slo": {"classes": [{"class": str, "requests": num, ...,
@@ -36,13 +37,14 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/region.hpp"
 
 namespace kami {
 class TablePrinter;  // util/table.hpp
 }
 
 namespace kami::obs {
+
+class RequestTrace;  // obs/trace_span.hpp
 
 inline constexpr const char* kRunSchemaName = "kami.obs.run";
 inline constexpr int kRunSchemaVersion = 2;
@@ -112,7 +114,8 @@ class RunReport {
   void set_metrics(const MetricRegistry& registry) { metrics_ = registry.to_json(); }
   const Json& metrics() const noexcept { return metrics_; }
 
-  void set_regions(const RegionProfiler& profiler) { regions_ = profiler.to_json(); }
+  /// The "regions" section: fold_span_tree(phases).
+  void set_regions(const RequestTrace& phases);
   const Json& regions() const noexcept { return regions_; }
 
   void set_utilization(UtilizationTimeline u) { utilization_ = std::move(u); }

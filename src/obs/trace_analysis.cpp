@@ -154,19 +154,39 @@ BankConflictHeatmap bank_conflict_heatmap(const sim::DeviceSpec& dev,
   return out;
 }
 
+namespace {
+
+/// Slash-joined path and 1-based nesting depth of every span, by id.
+std::vector<std::pair<std::string, int>> span_paths(const RequestTrace& phases) {
+  std::vector<std::pair<std::string, int>> out;
+  out.reserve(phases.spans.size());
+  for (const Span& s : phases.spans) {
+    if (s.parent < 0) {
+      out.emplace_back(s.name, 1);
+    } else {
+      const auto& [path, depth] = out[static_cast<std::size_t>(s.parent)];
+      out.emplace_back(path + "/" + s.name, depth + 1);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<RegionOpBreakdown> region_op_breakdown(const sim::Trace& trace,
-                                                   const RegionProfiler& regions) {
-  // Innermost-first: deeper intervals win; among equal depths, later ones
-  // (loop iterations are disjoint in time, so at most one matches).
-  const auto& intervals = regions.intervals();
+                                                   const RequestTrace& phases) {
+  // Innermost-first: deeper spans win; spans of equal depth are disjoint in
+  // time, so at most one of them matches.
+  const auto paths = span_paths(phases);
   std::map<std::string, std::map<std::string, double>> acc;  // path -> kind -> cycles
   for (const auto& ev : trace.events()) {
-    const RegionProfiler::Interval* best = nullptr;
-    for (const auto& iv : intervals) {
-      if (ev.issue < iv.start || ev.issue >= iv.end) continue;
-      if (best == nullptr || iv.depth > best->depth) best = &iv;
+    const std::pair<std::string, int>* best = nullptr;
+    for (std::size_t i = 0; i < phases.spans.size(); ++i) {
+      const Span& s = phases.spans[i];
+      if (ev.issue < s.begin_cycles || ev.issue >= s.end_cycles) continue;
+      if (best == nullptr || paths[i].second > best->second) best = &paths[i];
     }
-    const std::string path = best != nullptr ? best->path : std::string("(outside)");
+    const std::string& path = best != nullptr ? best->first : std::string("(outside)");
     acc[path][sim::op_kind_name(ev.kind)] += ev.end - ev.issue;
   }
   std::vector<RegionOpBreakdown> out;
@@ -180,13 +200,16 @@ std::vector<RegionOpBreakdown> region_op_breakdown(const sim::Trace& trace,
 }
 
 void dump_chrome_trace_with_regions(std::ostream& os, const sim::Trace& trace,
-                                    const RegionProfiler* regions,
+                                    const RequestTrace* phases,
                                     std::string_view process_name) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  const auto emit = [&](const std::string& event_json) {
+  const auto sep = [&] {
     if (!first) os << ",";
     first = false;
+  };
+  const auto emit = [&](const std::string& event_json) {
+    sep();
     os << event_json;
   };
 
@@ -206,24 +229,19 @@ void dump_chrome_trace_with_regions(std::ostream& os, const sim::Trace& trace,
          ",\"args\":{\"amount\":" + json_number(ev.amount) +
          ",\"issue\":" + json_number(ev.issue) + "}}");
 
-  if (regions != nullptr && !regions->intervals().empty()) {
+  if (phases != nullptr) {
     // One track per nesting depth so overlapping parent/child phases render
     // as a flame-graph-style stack under the warps.
+    const auto paths = span_paths(*phases);
     std::set<int> depths;
-    for (const auto& iv : regions->intervals()) depths.insert(iv.depth);
+    for (const auto& [path, depth] : paths) depths.insert(depth);
     for (const int d : depths)
       emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
            std::to_string(1000 + d) + ",\"args\":{\"name\":\"phases (depth " +
            std::to_string(d) + ")\"}}");
-    for (const auto& iv : regions->intervals()) {
-      const std::size_t slash = iv.path.rfind('/');
-      const std::string leaf =
-          slash == std::string::npos ? iv.path : iv.path.substr(slash + 1);
-      emit("{\"name\":\"" + json_escape(leaf) +
-           "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(1000 + iv.depth) +
-           ",\"ts\":" + json_number(iv.start) + ",\"dur\":" +
-           json_number(iv.end - iv.start) + ",\"args\":{\"path\":\"" +
-           json_escape(iv.path) + "\"}}");
+    for (std::size_t i = 0; i < phases->spans.size(); ++i) {
+      sep();
+      write_chrome_span(os, phases->spans[i], static_cast<std::size_t>(1000 + paths[i].second));
     }
   }
   os << "]}";

@@ -1,7 +1,7 @@
 // Analysis passes over the simulator's op-level Trace: per-resource
 // utilization timelines, critical-warp identification, bank-conflict
-// heatmaps, per-region op-kind attribution, and a Chrome/Perfetto trace
-// export enriched with phase metadata.
+// heatmaps, per-phase op-kind attribution, and the Chrome/Perfetto export
+// of a block's op events enriched with its phase spans.
 //
 // These passes reconstruct *resource* busy intervals from the recorded
 // events using the device's latency constants (an SmemLoad's port occupancy
@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "obs/region.hpp"
 #include "obs/report.hpp"
+#include "obs/trace_span.hpp"
 #include "sim/device.hpp"
 #include "sim/trace.hpp"
 
@@ -67,22 +67,23 @@ BankConflictHeatmap bank_conflict_heatmap(const sim::DeviceSpec& dev,
                                           std::size_t element_bytes,
                                           const std::vector<std::size_t>& strides);
 
-/// Warp-cycles per op-kind attributed to the innermost profiler region whose
+/// Warp-cycles per op-kind attributed to the innermost phase span whose
 /// interval contains the event's issue time — the kernel -> phase -> op-kind
-/// level of the breakdown. Events outside every region land in "(outside)".
+/// level of the breakdown. Events outside every span land in "(outside)".
 struct RegionOpBreakdown {
-  std::string path;  ///< slash-joined region path
+  std::string path;  ///< slash-joined span path, e.g. "kami_1d/compute"
   std::vector<std::pair<std::string, double>> op_cycles;  ///< kind -> cycles
 };
 
 std::vector<RegionOpBreakdown> region_op_breakdown(const sim::Trace& trace,
-                                                   const RegionProfiler& regions);
+                                                   const RequestTrace& phases);
 
-/// Chrome trace-event JSON enriched with phase/region rows: op events per
-/// warp (as Trace::dump_chrome_trace) plus process/thread metadata and one
-/// X event per closed region interval on a dedicated "phases" track.
+/// Chrome trace-event JSON of one block: process/thread metadata, one X
+/// event per op on its warp's track, and, when `phases` is given, its spans
+/// (via write_chrome_span) on one "phases (depth N)" track per nesting
+/// depth, the root at depth 1.
 void dump_chrome_trace_with_regions(std::ostream& os, const sim::Trace& trace,
-                                    const RegionProfiler* regions,
+                                    const RequestTrace* phases,
                                     std::string_view process_name = "kami");
 
 }  // namespace kami::obs

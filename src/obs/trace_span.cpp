@@ -137,6 +137,72 @@ std::string RequestTrace::canonical_text() const {
   return os.str();
 }
 
+namespace {
+
+/// One node of fold_span_tree(): every span with this path, folded.
+struct FoldedSpan {
+  std::string_view name;
+  double count = 0.0;
+  double total_cycles = 0.0;
+  std::vector<std::size_t> children;  ///< indices into the node list
+};
+
+Json folded_json(const std::vector<FoldedSpan>& nodes, std::size_t n) {
+  const FoldedSpan& node = nodes[n];
+  Json j = Json::object();
+  j.set("name", std::string(node.name));
+  j.set("count", node.count);
+  j.set("total_cycles", node.total_cycles);
+  double self_cycles = node.total_cycles;
+  for (const std::size_t ch : node.children) self_cycles -= nodes[ch].total_cycles;
+  j.set("self_cycles", self_cycles);
+  if (!node.children.empty()) {
+    Json children = Json::array();
+    for (const std::size_t ch : node.children) children.push_back(folded_json(nodes, ch));
+    j.set("children", std::move(children));
+  }
+  return j;
+}
+
+}  // namespace
+
+Json fold_span_tree(const RequestTrace& trace) {
+  // Spans are visited in id (open) order and parents precede children, so a
+  // span's parent is folded before it; nodes[0] is the root's.
+  std::vector<FoldedSpan> nodes;
+  std::vector<std::size_t> node_of(trace.spans.size());
+  for (const Span& s : trace.spans) {
+    std::size_t n = nodes.size();
+    if (s.parent >= 0) {
+      auto& siblings = nodes[node_of[static_cast<std::size_t>(s.parent)]].children;
+      const auto same = std::find_if(siblings.begin(), siblings.end(),
+                                     [&](std::size_t ch) { return nodes[ch].name == s.name; });
+      if (same != siblings.end()) n = *same;
+      else siblings.push_back(n);
+    }
+    if (n == nodes.size()) nodes.push_back(FoldedSpan{s.name, 0.0, 0.0, {}});
+    nodes[n].count += 1.0;
+    nodes[n].total_cycles += s.duration_cycles();
+    node_of[s.id] = n;
+  }
+  Json regions = Json::array();
+  if (!nodes.empty()) regions.push_back(folded_json(nodes, 0));
+  return regions;
+}
+
+void write_chrome_span(std::ostream& os, const Span& span, std::size_t tid) {
+  os << "{\"name\":\"" << json_escape(span.name) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
+     << tid << ",\"ts\":" << json_number(span.begin_cycles)
+     << ",\"dur\":" << json_number(span.duration_cycles()) << ",\"args\":{";
+  bool first = true;
+  for (const auto& [k, v] : span.attrs) {
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
+  }
+  os << "}}";
+}
+
 void dump_chrome_traces(std::ostream& os, const std::vector<RequestTrace>& traces) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -153,16 +219,7 @@ void dump_chrome_traces(std::ostream& os, const std::vector<RequestTrace>& trace
        << ",\"args\":{\"name\":\"" << json_escape(traces[t].request_id) << "\"}}";
     for (const auto& s : traces[t].spans) {
       sep();
-      os << "{\"name\":\"" << json_escape(s.name) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-         << t + 1 << ",\"ts\":" << json_number(s.begin_cycles)
-         << ",\"dur\":" << json_number(s.duration_cycles()) << ",\"args\":{";
-      bool afirst = true;
-      for (const auto& [k, v] : s.attrs) {
-        if (!afirst) os << ",";
-        afirst = false;
-        os << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
-      }
-      os << "}}";
+      write_chrome_span(os, s, t + 1);
     }
   }
   os << "]}";
@@ -231,6 +288,11 @@ void TraceBuilder::set_meta(std::string key, std::string value) {
 void TraceBuilder::advance(double cycles) {
   KAMI_REQUIRE(cycles >= 0.0, "the trace clock only moves forward");
   clock_ += cycles;
+}
+
+void TraceBuilder::advance_to(double now) {
+  KAMI_REQUIRE(now >= clock_, "the trace clock went backwards");
+  clock_ = now;
 }
 
 void TraceBuilder::graft(RequestTrace child) {

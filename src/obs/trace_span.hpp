@@ -12,6 +12,12 @@
 // dumps across worker counts and what makes every recorded failure exactly
 // replayable.
 //
+// The same model carries a kernel's phase breakdown: with
+// GemmOptions::record_regions, kami_1d/2d/3d record a trace rooted at the
+// kernel with one ScopedSpan per phase (setup, broadcast_write,
+// broadcast_read, compute, ..., writeback) on the block's simulated clock;
+// fold_span_tree() aggregates it into the run report's "regions" section.
+//
 // TraceBuilder is the write side: a stack of open spans plus the logical
 // clock. It is deliberately single-threaded (one request is built by one
 // thread at a time); cross-thread fan-out goes through the execution
@@ -21,6 +27,7 @@
 // determinism contract metric shards already follow (DESIGN §10/§11).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -88,9 +95,20 @@ class RequestTrace {
   std::string canonical_text() const;
 };
 
+/// The run report's "regions" section: the span tree with same-name
+/// siblings folded into one node, as an array holding the root's nested
+/// {name, count, total_cycles, self_cycles, children?}. Children keep
+/// first-open order; a node's total sums its occurrences in open order and
+/// its self time is that total minus the children's totals.
+Json fold_span_tree(const RequestTrace& trace);
+
+/// One span as a Chrome trace-event "X" event on track `tid` (1 cycle =
+/// 1 us, the mapping the simulator's op events also use), with the span's
+/// attributes as args. The one span writer behind every Chrome export.
+void write_chrome_span(std::ostream& os, const Span& span, std::size_t tid);
+
 /// Chrome trace-event JSON for a set of traces: one tid per trace (named by
-/// request id), spans as "X" events under the 1 cycle = 1 us mapping the
-/// simulator's op traces also use.
+/// request id), its spans written by write_chrome_span.
 void dump_chrome_traces(std::ostream& os, const std::vector<RequestTrace>& traces);
 
 /// Write side of a RequestTrace: an open-span stack plus the logical cycle
@@ -125,6 +143,8 @@ class TraceBuilder {
 
   /// Advance the logical clock by a non-negative number of cycles.
   void advance(double cycles);
+  /// Move the logical clock to `now`, which must not be behind it.
+  void advance_to(double now);
   double clock() const noexcept { return clock_; }
 
   /// Append a finished trace's spans under the innermost open span,
@@ -142,6 +162,37 @@ class TraceBuilder {
   std::vector<std::uint32_t> stack_;  ///< open span ids, root first
   double clock_ = 0.0;
   bool finished_ = false;
+};
+
+/// RAII child span of `tracer`'s innermost open span, opened and closed at
+/// `clock.cycles()` (anything with a `double cycles() const`, e.g. a
+/// sim::ThreadBlock). A no-op on nullptr, so kernels instrument
+/// unconditionally and pay nothing when tracing is off. The clock is read
+/// only while the ScopedSpan is in scope; neither the builder nor the
+/// finished trace keeps a reference to it.
+template <class Clock>
+class ScopedSpan {
+ public:
+  ScopedSpan(TraceBuilder* tracer, const Clock& clock, std::string_view name)
+      : tracer_(tracer), clock_(clock) {
+    if (tracer_ == nullptr) return;
+    tracer_->advance_to(clock_.cycles());
+    tracer_->open(name);
+  }
+  /// Close the span early; the destructor then does nothing.
+  void close() {
+    if (tracer_ == nullptr) return;
+    tracer_->advance_to(clock_.cycles());
+    tracer_->close();
+    tracer_ = nullptr;
+  }
+  ~ScopedSpan() { close(); }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+ private:
+  TraceBuilder* tracer_;
+  const Clock& clock_;
 };
 
 /// The builder the current thread's instrumented code should append spans

@@ -290,5 +290,67 @@ TEST(ExecModes, BestGemmKeepsValuesAndProfile) {
   expect_profile_identical(best.profile, full.profile);
 }
 
+// ---------------------------------------------------------------------------
+// record_regions: the kernel's phases as spans, without perturbing the run
+// ---------------------------------------------------------------------------
+
+/// Run `algo` on GH200 fp16 with record_regions off and on: C and the
+/// profile must be bit-identical, and the phase trace's root must be the
+/// kernel on [0, latency]. Returns the phase trace (nullptr on failure).
+std::shared_ptr<obs::RequestTrace> check_regions(Algo algo, std::size_t n,
+                                                 const GemmOptions& base) {
+  Rng rng(n * 31 + 7);
+  const auto A = random_matrix<fp16_t>(n, n, rng);
+  const auto B = random_matrix<fp16_t>(n, n, rng);
+  const auto off = gemm(algo, sim::gh200(), A, B, base);
+  GemmOptions opt = base;
+  opt.record_regions = true;
+  const auto on = gemm(algo, sim::gh200(), A, B, opt);
+  EXPECT_EQ(off.regions, nullptr);
+  EXPECT_TRUE(bits_equal(on.C, off.C));
+  expect_profile_identical(on.profile, off.profile);
+  if (on.regions == nullptr) return nullptr;
+  const obs::Span* root = on.regions->root();
+  EXPECT_EQ(root->name, algo == Algo::OneD   ? "kami_1d"
+                        : algo == Algo::TwoD ? "kami_2d"
+                                             : "kami_3d");
+  EXPECT_EQ(root->begin_cycles, 0.0);
+  EXPECT_EQ(root->end_cycles, on.profile.latency);
+  EXPECT_EQ(on.regions->find_all("setup").size(), 1u);
+  EXPECT_FALSE(on.regions->find_all("writeback").empty());
+  return on.regions;
+}
+
+TEST(RecordRegions, OneDPhasesPerStripe) {
+  for (const std::size_t n : {std::size_t{64}, std::size_t{128}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    GemmOptions opt;
+    opt.warps = 4;
+    const auto phases = check_regions(Algo::OneD, n, opt);
+    ASSERT_NE(phases, nullptr);
+    const auto plan = core::plan_gemm(Algo::OneD, sim::gh200(), Precision::FP16, n, n, n, opt);
+    const std::size_t stripes = n / plan.slice_w;
+    for (const char* name : {"broadcast_write", "broadcast_read", "compute"}) {
+      const auto spans = phases->find_all(name);
+      EXPECT_EQ(spans.size(), stripes) << name;
+      for (const obs::Span* s : spans) EXPECT_EQ(s->parent, 0) << name;
+    }
+  }
+}
+
+TEST(RecordRegions, TwoDRootSpansTheKernel) {
+  GemmOptions opt;
+  opt.warps = 4;
+  EXPECT_NE(check_regions(Algo::TwoD, 64, opt), nullptr);
+}
+
+TEST(RecordRegions, ThreeDRootSpansTheKernel) {
+  GemmOptions opt;
+  opt.warps = 8;
+  const auto phases = check_regions(Algo::ThreeD, 64, opt);
+  ASSERT_NE(phases, nullptr);
+  EXPECT_FALSE(phases->find_all("reduce").empty());
+}
+
 }  // namespace
 }  // namespace kami

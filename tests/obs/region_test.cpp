@@ -1,134 +1,192 @@
-#include "obs/region.hpp"
-
+// Kernel-phase spans: a TraceBuilder driven by an external clock, ScopedSpan,
+// and the folded "regions" tree (fold_span_tree). The RegionProfiler and
+// ScopedRegion suites name the phase-profiling role these tests cover.
 #include <gtest/gtest.h>
+
+#include "obs/trace_span.hpp"
 
 namespace kami::obs {
 namespace {
 
-TEST(RegionProfiler, BuildsTreeAndAggregatesRepeats) {
+/// Stand-in for a ThreadBlock's simulated clock.
+struct FakeClock {
   double now = 0.0;
-  RegionProfiler prof([&now] { return now; });
+  double cycles() const { return now; }
+};
 
-  prof.enter("kernel");
-  now = 10.0;
-  prof.enter("stage");
-  now = 30.0;
-  prof.leave();  // stage: 20
-  now = 35.0;
-  prof.enter("stage");
-  now = 40.0;
-  prof.leave();  // stage again: +5 (same node)
-  now = 50.0;
-  prof.leave();  // kernel: 50
-  prof.freeze();
+const Json* find_child(const Json& node, std::string_view name) {
+  const Json* children = node.find("children");
+  if (children == nullptr) return nullptr;
+  for (const auto& ch : children->as_array())
+    if (ch.at("name").as_string() == name) return &ch;
+  return nullptr;
+}
 
-  const RegionNode& root = prof.root();
-  ASSERT_EQ(root.children.size(), 1u);
-  const RegionNode* kernel = root.find("kernel");
-  ASSERT_NE(kernel, nullptr);
-  EXPECT_DOUBLE_EQ(kernel->total_cycles, 50.0);
-  EXPECT_EQ(kernel->count, 1u);
-  ASSERT_EQ(kernel->children.size(), 1u);  // both entries folded into one node
-  const RegionNode* stage = kernel->find("stage");
+double num(const Json& node, const char* key) { return node.at(key).as_number(); }
+
+TEST(RegionProfiler, BuildsTreeAndAggregatesRepeats) {
+  TraceBuilder tb("t", "kernel", 0.0);
+  tb.advance_to(10.0);
+  tb.open("stage");
+  tb.advance_to(30.0);
+  tb.close();  // stage: 20
+  tb.advance_to(35.0);
+  tb.open("stage");
+  tb.advance_to(40.0);
+  tb.close();  // stage again: +5 (same node)
+  tb.advance_to(50.0);
+  const Json tree = fold_span_tree(tb.finish());  // kernel: 50
+
+  ASSERT_EQ(tree.size(), 1u);
+  const Json& kernel = tree.at(std::size_t{0});
+  EXPECT_EQ(kernel.at("name").as_string(), "kernel");
+  EXPECT_DOUBLE_EQ(num(kernel, "total_cycles"), 50.0);
+  EXPECT_DOUBLE_EQ(num(kernel, "count"), 1.0);
+  ASSERT_EQ(kernel.at("children").size(), 1u);  // both entries folded into one node
+  const Json* stage = find_child(kernel, "stage");
   ASSERT_NE(stage, nullptr);
-  EXPECT_DOUBLE_EQ(stage->total_cycles, 25.0);
-  EXPECT_EQ(stage->count, 2u);
-  EXPECT_DOUBLE_EQ(kernel->self_cycles(), 25.0);
+  EXPECT_DOUBLE_EQ(num(*stage, "total_cycles"), 25.0);
+  EXPECT_DOUBLE_EQ(num(*stage, "count"), 2.0);
+  EXPECT_DOUBLE_EQ(num(kernel, "self_cycles"), 25.0);
+}
+
+TEST(TraceSpan, FoldMergesRepeatedParentsInFirstOpenOrder) {
+  // Two "stripe" occurrences, each with a "read" child, fold into one
+  // stripe node whose read child sums both; "setup" opened after the first
+  // stripe stays after it.
+  TraceBuilder tb("t", "kernel", 0.0);
+  for (double t0 : {0.0, 10.0}) {
+    tb.advance_to(t0);
+    tb.open("stripe");
+    tb.open("read");
+    tb.advance_to(t0 + 3.0);
+    tb.close();
+    tb.advance_to(t0 + 4.0);
+    tb.close();
+    if (t0 == 0.0) {
+      tb.open("setup");
+      tb.advance_to(5.0);
+      tb.close();
+    }
+  }
+  const Json tree = fold_span_tree(tb.finish());
+  const Json& kernel = tree.at(std::size_t{0});
+  ASSERT_EQ(kernel.at("children").size(), 2u);
+  EXPECT_EQ(kernel.at("children").at(std::size_t{0}).at("name").as_string(), "stripe");
+  EXPECT_EQ(kernel.at("children").at(std::size_t{1}).at("name").as_string(), "setup");
+  const Json* stripe = find_child(kernel, "stripe");
+  ASSERT_NE(stripe, nullptr);
+  EXPECT_DOUBLE_EQ(num(*stripe, "count"), 2.0);
+  EXPECT_DOUBLE_EQ(num(*stripe, "total_cycles"), 8.0);
+  EXPECT_DOUBLE_EQ(num(*stripe, "self_cycles"), 2.0);
+  const Json* read = find_child(*stripe, "read");
+  ASSERT_NE(read, nullptr);
+  EXPECT_DOUBLE_EQ(num(*read, "count"), 2.0);
+  EXPECT_DOUBLE_EQ(num(*read, "total_cycles"), 6.0);
+  EXPECT_DOUBLE_EQ(num(kernel, "total_cycles"), 14.0);
+  EXPECT_DOUBLE_EQ(num(kernel, "self_cycles"), 5.0);  // 14 - 8 stripe - 1 setup
 }
 
 TEST(RegionProfiler, NestingInvariants) {
   // A parent's inclusive time always covers its children's inclusive time.
-  double now = 0.0;
-  RegionProfiler prof([&now] { return now; });
-  prof.enter("a");
-  now = 1.0;
-  prof.enter("b");
-  now = 2.0;
-  prof.enter("c");
-  now = 5.0;
-  prof.leave();
-  now = 6.0;
-  prof.leave();
-  now = 9.0;
-  prof.leave();
-  prof.freeze();
+  TraceBuilder tb("t", "a", 0.0);
+  tb.advance_to(1.0);
+  tb.open("b");
+  tb.advance_to(2.0);
+  tb.open("c");
+  tb.advance_to(5.0);
+  tb.close();
+  tb.advance_to(6.0);
+  tb.close();
+  tb.advance_to(9.0);
+  const RequestTrace trace = tb.finish();
+  const Json tree = fold_span_tree(trace);
 
-  const RegionNode* a = prof.root().find("a");
-  ASSERT_NE(a, nullptr);
-  const RegionNode* b = a->find("b");
+  const Json& a = tree.at(std::size_t{0});
+  const Json* b = find_child(a, "b");
   ASSERT_NE(b, nullptr);
-  const RegionNode* c = b->find("c");
+  const Json* c = find_child(*b, "c");
   ASSERT_NE(c, nullptr);
-  EXPECT_GE(a->total_cycles, b->total_cycles);
-  EXPECT_GE(b->total_cycles, c->total_cycles);
-  EXPECT_GE(a->self_cycles(), 0.0);
-  EXPECT_GE(b->self_cycles(), 0.0);
+  EXPECT_GE(num(a, "total_cycles"), num(*b, "total_cycles"));
+  EXPECT_GE(num(*b, "total_cycles"), num(*c, "total_cycles"));
+  EXPECT_GE(num(a, "self_cycles"), 0.0);
+  EXPECT_GE(num(*b, "self_cycles"), 0.0);
 
-  // Intervals record the closed occurrences deepest-path included.
-  ASSERT_EQ(prof.intervals().size(), 3u);
-  bool saw_abc = false;
-  for (const auto& iv : prof.intervals()) {
-    EXPECT_LE(iv.start, iv.end);
-    if (iv.path == "a/b/c") {
-      saw_abc = true;
-      EXPECT_EQ(iv.depth, 3);
-      EXPECT_DOUBLE_EQ(iv.start, 2.0);
-      EXPECT_DOUBLE_EQ(iv.end, 5.0);
-    }
-  }
-  EXPECT_TRUE(saw_abc);
+  // The spans record every occurrence, the deepest included, in open order.
+  ASSERT_EQ(trace.spans.size(), 3u);
+  for (const auto& s : trace.spans) EXPECT_LE(s.begin_cycles, s.end_cycles);
+  const Span* sc = trace.find_span("c");
+  ASSERT_NE(sc, nullptr);
+  EXPECT_EQ(trace.spans[static_cast<std::size_t>(sc->parent)].name, "b");
+  EXPECT_EQ(trace.spans[static_cast<std::size_t>(trace.find_span("b")->parent)].name, "a");
+  EXPECT_DOUBLE_EQ(sc->begin_cycles, 2.0);
+  EXPECT_DOUBLE_EQ(sc->end_cycles, 5.0);
 }
 
 TEST(RegionProfiler, FreezeRequiresBalancedRegions) {
-  double now = 0.0;
-  RegionProfiler prof([&now] { return now; });
-  prof.enter("open");
-  EXPECT_THROW(prof.freeze(), kami::PreconditionError);
-  prof.leave();
-  prof.freeze();
-  EXPECT_THROW(prof.enter("late"), kami::PreconditionError);
+  // close() never closes the root, only finish() does; a finished builder
+  // accepts no more spans.
+  TraceBuilder tb("t", "kernel", 0.0);
+  tb.open("open");
+  tb.close();
+  EXPECT_THROW(tb.close(), kami::PreconditionError);
+  tb.open("left open");  // finish() closes it at the current clock
+  tb.advance_to(3.0);
+  const RequestTrace trace = tb.finish();
+  EXPECT_DOUBLE_EQ(trace.find_span("left open")->end_cycles, 3.0);
+  EXPECT_THROW(tb.open("late"), kami::PreconditionError);
+  EXPECT_THROW(tb.finish(), kami::PreconditionError);
 }
 
 TEST(RegionProfiler, LeaveWithoutEnterThrows) {
-  RegionProfiler prof([] { return 0.0; });
-  EXPECT_THROW(prof.leave(), kami::PreconditionError);
+  TraceBuilder tb("t", "kernel", 0.0);
+  EXPECT_THROW(tb.close(), kami::PreconditionError);
+}
+
+TEST(TraceSpan, AdvanceToRejectsABackwardsClock) {
+  TraceBuilder tb("t", "kernel", 5.0);
+  tb.advance_to(5.0);  // standing still is fine
+  EXPECT_THROW(tb.advance_to(4.0), kami::PreconditionError);
+  EXPECT_DOUBLE_EQ(tb.clock(), 5.0);
 }
 
 TEST(ScopedRegion, NullProfilerIsNoOp) {
-  RegionProfiler* none = nullptr;
+  FakeClock clock;
   {
-    ScopedRegion r(none, "anything");  // must not crash
+    ScopedSpan r(nullptr, clock, "anything");  // must not crash
+    r.close();
   }
   SUCCEED();
 }
 
 TEST(ScopedRegion, CloseLeavesEarlyExactlyOnce) {
-  double now = 0.0;
-  RegionProfiler prof([&now] { return now; });
+  FakeClock clock;
+  TraceBuilder tb("t", "kernel", 0.0);
   {
-    ScopedRegion r(prof, "outer");
-    now = 4.0;
-    r.close();  // destructor must not leave() a second time
-    prof.freeze();
+    ScopedSpan r(&tb, clock, "outer");
+    clock.now = 4.0;
+    r.close();  // destructor must not close() a second time
+    EXPECT_EQ(tb.depth(), 1);
+    clock.now = 9.0;
   }
-  const RegionNode* outer = prof.root().find("outer");
+  const RequestTrace trace = tb.finish();
+  const Span* outer = trace.find_span("outer");
   ASSERT_NE(outer, nullptr);
-  EXPECT_DOUBLE_EQ(outer->total_cycles, 4.0);
+  EXPECT_DOUBLE_EQ(outer->duration_cycles(), 4.0);
+  EXPECT_DOUBLE_EQ(trace.root()->end_cycles, 4.0);  // the builder never read 9
 }
 
 TEST(RegionProfiler, ToJsonShape) {
-  double now = 0.0;
-  RegionProfiler prof([&now] { return now; });
-  prof.enter("k");
-  now = 7.0;
-  prof.leave();
-  prof.freeze();
-  // to_json() is the schema's "regions" section: an array of top-level nodes.
-  const Json doc = prof.to_json();
+  TraceBuilder tb("t", "k", 0.0);
+  tb.advance_to(7.0);
+  // fold_span_tree() is the schema's "regions" section: an array holding
+  // the root's node.
+  const Json doc = fold_span_tree(tb.finish());
   ASSERT_TRUE(doc.is_array());
   ASSERT_EQ(doc.size(), 1u);
   EXPECT_EQ(doc.at(std::size_t{0}).at("name").as_string(), "k");
   EXPECT_DOUBLE_EQ(doc.at(std::size_t{0}).at("total_cycles").as_number(), 7.0);
+  EXPECT_EQ(doc.at(std::size_t{0}).find("children"), nullptr);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "obs/trace_span.hpp"
 #include "util/table.hpp"
 
 namespace kami::obs {
@@ -31,13 +32,9 @@ RunReport sample_report() {
   metrics.histogram("planner.reg_demand_bytes").observe(192.0);
   report.set_metrics(metrics);
 
-  double now = 0.0;
-  RegionProfiler prof([&now] { return now; });
-  prof.enter("kernel");
-  now = 8.0;
-  prof.leave();
-  prof.freeze();
-  report.set_regions(prof);
+  TraceBuilder phases("unit", "kernel", 0.0);
+  phases.advance_to(8.0);
+  report.set_regions(phases.finish());
 
   UtilizationTimeline u;
   u.bucket_cycles = 2.0;
@@ -139,6 +136,46 @@ TEST(RunReport, FromJsonRejectsRaggedTableRows) {
   doc.set("tables", tables);
   (void)rows;
   EXPECT_THROW(RunReport::from_json(doc), SchemaError);
+}
+
+TEST(RunReport, FromJsonRejectsMalformedRegions) {
+  const auto with_regions = [](const char* regions) {
+    Json doc = sample_report().to_json();
+    doc.set("regions", Json::parse(regions));
+    return doc;
+  };
+  // Well-formed nested nodes load.
+  EXPECT_NO_THROW(RunReport::from_json(with_regions(
+      R"([{"name":"k","count":1,"total_cycles":9,"self_cycles":4,)"
+      R"("children":[{"name":"c","count":2,"total_cycles":5,"self_cycles":5}]}])")));
+  // A section that is not an array.
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"({"name":"k","count":1,"total_cycles":9,"self_cycles":9})")),
+               SchemaError);
+  EXPECT_THROW(RunReport::from_json(with_regions("3")), SchemaError);
+  // A node that is not an object, lacks a string name, or a numeric field.
+  EXPECT_THROW(RunReport::from_json(with_regions("[1]")), SchemaError);
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"([{"count":1,"total_cycles":9,"self_cycles":9}])")),
+               SchemaError);
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"([{"name":7,"count":1,"total_cycles":9,"self_cycles":9}])")),
+               SchemaError);
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"([{"name":"k","total_cycles":9,"self_cycles":9}])")),
+               SchemaError);
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"([{"name":"k","count":"1","total_cycles":9,"self_cycles":9}])")),
+               SchemaError);
+  // The same checks apply through children.
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"([{"name":"k","count":1,"total_cycles":9,"self_cycles":4,)"
+                   R"("children":[{"name":"c","count":2,"total_cycles":5}]}])")),
+               SchemaError);
+  EXPECT_THROW(RunReport::from_json(with_regions(
+                   R"([{"name":"k","count":1,"total_cycles":9,"self_cycles":4,)"
+                   R"("children":{"name":"c"}}])")),
+               SchemaError);
 }
 
 TEST(RunReport, CapturesTablePrinterCellsVerbatim) {

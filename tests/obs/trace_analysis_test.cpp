@@ -113,10 +113,10 @@ TEST(RegionOpBreakdown, AttributesOpsToInnermostRegion) {
   const auto dev = tiny_device();
   sim::ThreadBlock blk(dev, 1);
   blk.enable_trace();
-  RegionProfiler prof([&blk] { return blk.cycles(); });
+  TraceBuilder tb("t", "kernel", blk.cycles());
   auto tile = blk.smem().alloc<float>(8, 8);
   {
-    ScopedRegion r(prof, "copy_phase");
+    ScopedSpan r(&tb, blk, "copy_phase");
     blk.phase([&](sim::Warp& w) {
       auto f = w.alloc_fragment<float>(8, 8);
       w.store_smem(tile, f.view());
@@ -124,7 +124,7 @@ TEST(RegionOpBreakdown, AttributesOpsToInnermostRegion) {
     blk.sync();
   }
   {
-    ScopedRegion r(prof, "compute_phase");
+    ScopedSpan r(&tb, blk, "compute_phase");
     blk.phase([&](sim::Warp& w) {
       auto A = w.alloc_fragment<float>(8, 8);
       auto B = w.alloc_fragment<float>(8, 8);
@@ -133,16 +133,16 @@ TEST(RegionOpBreakdown, AttributesOpsToInnermostRegion) {
     });
     blk.sync();
   }
-  prof.freeze();
+  const RequestTrace phases = tb.finish();
   const auto trace = blk.take_trace();
-  const auto breakdown = region_op_breakdown(*trace, prof);
+  const auto breakdown = region_op_breakdown(*trace, phases);
 
   double store_in_copy = 0.0, mma_in_compute = 0.0, mma_elsewhere = 0.0;
   for (const auto& rb : breakdown) {
     for (const auto& [kind, cycles] : rb.op_cycles) {
-      if (rb.path == "copy_phase" && kind == "smem_store") store_in_copy += cycles;
-      if (rb.path == "compute_phase" && kind == "mma") mma_in_compute += cycles;
-      if (rb.path != "compute_phase" && kind == "mma") mma_elsewhere += cycles;
+      if (rb.path == "kernel/copy_phase" && kind == "smem_store") store_in_copy += cycles;
+      if (rb.path == "kernel/compute_phase" && kind == "mma") mma_in_compute += cycles;
+      if (rb.path != "kernel/compute_phase" && kind == "mma") mma_elsewhere += cycles;
     }
   }
   EXPECT_GT(store_in_copy, 0.0);
@@ -154,27 +154,28 @@ TEST(ChromeTraceWithRegions, EmitsMetadataAndPhaseTracks) {
   const auto dev = tiny_device();
   sim::ThreadBlock blk(dev, 2);
   blk.enable_trace();
-  RegionProfiler prof([&blk] { return blk.cycles(); });
+  TraceBuilder tb("t", "kernel", blk.cycles());
   auto tile = blk.smem().alloc<float>(8, 8);
   {
-    ScopedRegion r(prof, "phase \"quoted\"");  // must be escaped in the JSON
+    ScopedSpan r(&tb, blk, "phase \"quoted\"");  // must be escaped in the JSON
     blk.phase([&](sim::Warp& w) {
       auto f = w.alloc_fragment<float>(8, 8);
       w.store_smem(tile, f.view());
     });
     blk.sync();
   }
-  prof.freeze();
+  const RequestTrace phases = tb.finish();
   const auto trace = blk.take_trace();
 
   std::ostringstream os;
-  dump_chrome_trace_with_regions(os, *trace, &prof, "unit test");
+  dump_chrome_trace_with_regions(os, *trace, &phases, "unit test");
   const std::string json = os.str();
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("warp 0"), std::string::npos);
   EXPECT_NE(json.find("warp 1"), std::string::npos);
   EXPECT_NE(json.find("phases (depth 1)"), std::string::npos);
+  EXPECT_NE(json.find("phases (depth 2)"), std::string::npos);
   EXPECT_NE(json.find("phase \\\"quoted\\\""), std::string::npos);
   // The whole document must parse as JSON (escaping really worked).
   EXPECT_NO_THROW(Json::parse(json));

@@ -55,13 +55,11 @@ bool cell_number(const std::string& cell, double* out) {
 }
 
 void print_region_tree(const Json& node, int depth) {
-  const std::string name = node.at("name").as_string();
-  if (!name.empty() || depth > 0) {
-    std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ') << name << ": total "
-              << kami::obs::json_number(node.at("total_cycles").as_number()) << " cyc, self "
-              << kami::obs::json_number(node.at("self_cycles").as_number()) << " cyc, x"
-              << kami::obs::json_number(node.at("count").as_number()) << "\n";
-  }
+  std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ')
+            << node.at("name").as_string() << ": total "
+            << kami::obs::json_number(node.at("total_cycles").as_number()) << " cyc, self "
+            << kami::obs::json_number(node.at("self_cycles").as_number()) << " cyc, x"
+            << kami::obs::json_number(node.at("count").as_number()) << "\n";
   if (const Json* children = node.find("children")) {
     for (const auto& ch : children->as_array()) print_region_tree(ch, depth + 1);
   }
@@ -115,9 +113,9 @@ void cmd_report(const RunReport& run) {
     std::cout << "\n";
   }
 
-  if (run.regions().is_object()) {
+  if (run.regions().is_array()) {
     std::cout << "== Regions (total/self cycles) ==\n";
-    print_region_tree(run.regions(), -1);
+    for (const auto& node : run.regions().as_array()) print_region_tree(node, 1);
     std::cout << "\n";
   }
 
