@@ -150,7 +150,7 @@ TuneResult autotune_gemm(const sim::DeviceSpec& dev, std::size_t m, std::size_t 
       screens[prunable[r].first].simulate = true;
 
   // -- phase 2: sweep the survivors across the execution engine (threads=0
-  // defers to KAMI_THREADS; 1 == the historical serial sweep).
+  // defers to KAMI_THREADS; 1 == serial, run inline).
   const exec::ExecutionEngine engine(threads);
   const auto outcomes =
       engine.parallel_map<TuneOutcome>(candidates.size(), [&](std::size_t i) {

@@ -82,7 +82,7 @@ BatchedResult<T> kami_batched_gemm(const sim::DeviceSpec& dev,
   opt.charge_global_io = true;
 
   // Entries are independent: fan out across the execution engine
-  // (GemmOptions::threads / KAMI_THREADS; 1 == the historical serial loop).
+  // (GemmOptions::threads / KAMI_THREADS; 1 == serial, run inline).
   // Results land in pre-sized slots indexed by entry, so the output is
   // bit-identical for every worker count.
   const exec::ExecutionEngine engine(opt.threads);

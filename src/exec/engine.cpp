@@ -166,10 +166,14 @@ class WorkerPool {
 
 void ExecutionEngine::run_region(std::size_t n,
                                  const std::function<void(std::size_t)>& task) const {
-  const auto region = std::make_shared<Region>();
-  region->task = &task;
   const int stripes =
       static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(workers_), n));
+  if (stripes <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  const auto region = std::make_shared<Region>();
+  region->task = &task;
   region->stripes.resize(static_cast<std::size_t>(stripes));
   for (std::size_t i = 0; i < n; ++i) {
     region->stripes[i % static_cast<std::size_t>(stripes)].tasks.push_back(i);

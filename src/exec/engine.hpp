@@ -5,12 +5,12 @@
 // Design constraints, in order:
 //   * deterministic — results land in pre-sized slots indexed by input
 //     order, per-task metric shards are merged back in task-index order, and
-//     the lowest-index exception is the one that propagates, so output is
-//     bit-identical to the serial loop for every worker count >= 2 and for
-//     every exec mode (see DESIGN §10 for the exact contract, including the
-//     one documented last-ulp caveat for fractional counters vs workers=1);
-//   * workers == 1 IS the serial path — no shards, no snapshotting, no pool,
-//     byte-for-byte the pre-engine control flow;
+//     the lowest-index exception is the one that propagates, so output —
+//     metrics and traces included — is bit-identical at every worker count
+//     and in every exec mode (DESIGN §10);
+//   * one body — every region, serial or not, snapshots the FaultHooks and
+//     gives each task its own metric and trace shard; one worker only
+//     changes scheduling (run_region runs the tasks inline, no pool);
 //   * safe to nest — a task may call parallel_for again; the nested caller
 //     always drains its own stripes, so progress never depends on a free
 //     pool thread.
@@ -76,43 +76,14 @@ class ExecutionEngine {
   /// rooted at a "task[i]" span that starts at the parent's clock; shards
   /// are grafted back under the parent's innermost open span in task-index
   /// order and the parent clock advances once, by the maximum shard clock —
-  /// tasks are concurrent, so the region costs its critical path. The
-  /// serial path builds the identical shard structure, so a traced region
-  /// is bit-identical at every worker count. On an exception, shards up to
-  /// and including the lowest failing index are grafted (mirroring the
-  /// metric-shard contract) before the rethrow.
+  /// tasks are concurrent, so the region costs its critical path. A traced
+  /// region is therefore bit-identical at every worker count. On an
+  /// exception, shards up to and including the lowest failing index are
+  /// grafted (mirroring the metric-shard contract) before the rethrow.
   template <class Fn>
   void parallel_for(std::size_t n, Fn&& fn) const {
     if (n == 0) return;
     obs::TraceBuilder* tracer = obs::current_tracer();
-    if (workers_ <= 1 || n == 1) {
-      if (tracer == nullptr) {
-        for (std::size_t i = 0; i < n; ++i) fn(i);
-        return;
-      }
-      const double start = tracer->clock();
-      double max_clock = start;
-      for (std::size_t i = 0; i < n; ++i) {
-        obs::TraceBuilder shard("shard", "task[" + std::to_string(i) + "]", start);
-        std::exception_ptr error;
-        {
-          obs::ScopedTracer scoped(&shard);
-          try {
-            fn(i);
-          } catch (...) {
-            error = std::current_exception();
-          }
-        }
-        max_clock = std::max(max_clock, shard.clock());
-        tracer->graft(shard.finish());
-        if (error) {
-          tracer->advance(max_clock - start);
-          std::rethrow_exception(error);
-        }
-      }
-      tracer->advance(max_clock - start);
-      return;
-    }
     obs::MetricRegistry& parent = obs::MetricRegistry::current();
     const verify::FaultHooks hooks = verify::fault_hooks();
     // deque, not vector: MetricRegistry holds a mutex and is immovable.
@@ -163,8 +134,9 @@ class ExecutionEngine {
 
  private:
   /// Scheduling core (engine.cpp): stripes indices, enlists pool threads,
-  /// participates from the calling thread, blocks until all tasks ran.
-  /// `task` must not throw (parallel_for wraps exceptions per index).
+  /// participates from the calling thread, blocks until all tasks ran. With
+  /// one stripe (one worker, or n == 1) it runs the tasks inline in index
+  /// order. `task` must not throw (parallel_for wraps exceptions per index).
   void run_region(std::size_t n, const std::function<void(std::size_t)>& task) const;
 
   int workers_;

@@ -146,8 +146,8 @@ class Predictor {
   std::size_t observation_count() const;
   void reset();
 
-  /// The process-wide predictor the library-level consumers (autotune, the
-  /// serving layer) share.
+  /// The process-wide predictor autotune_gemm reads and feeds. Servers own
+  /// theirs (serve/serve.hpp).
   static Predictor& global();
 
  private:

@@ -52,26 +52,32 @@ double Histogram::percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
+namespace {
+
+/// Find-or-create; the caller holds the registry's mutex. try_emplace:
+/// metrics hold an atomic and are not movable.
+template <class Map>
+typename Map::mapped_type& find_or_create(Map& map, std::string_view name) {
+  const auto it = map.find(name);
+  if (it != map.end()) return it->second;
+  return map.try_emplace(std::string(name)).first->second;
+}
+
+}  // namespace
+
 Counter& MetricRegistry::counter(std::string_view name) {
   std::lock_guard lock(mu_);
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return it->second;
-  // try_emplace: Counter holds an atomic and is not movable.
-  return counters_.try_emplace(std::string(name)).first->second;
+  return find_or_create(counters_, name);
 }
 
 Gauge& MetricRegistry::gauge(std::string_view name) {
   std::lock_guard lock(mu_);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return it->second;
-  return gauges_.try_emplace(std::string(name)).first->second;
+  return find_or_create(gauges_, name);
 }
 
 Histogram& MetricRegistry::histogram(std::string_view name) {
   std::lock_guard lock(mu_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.try_emplace(std::string(name)).first->second;
+  return find_or_create(histograms_, name);
 }
 
 const Counter* MetricRegistry::find_counter(std::string_view name) const noexcept {
@@ -114,23 +120,18 @@ void MetricRegistry::reset_values() {
 }
 
 void MetricRegistry::merge_from(const MetricRegistry& other) {
-  // Snapshot the other side's values first so we never hold two registry
-  // locks at once (merge order is engine-controlled; shards are quiescent
-  // by the time they're merged, but stay safe regardless).
-  const auto counters = other.counter_values();
-  const auto gauges = other.gauge_values();
-  std::vector<std::pair<std::string, std::vector<double>>> hists;
-  {
-    std::lock_guard lock(other.mu_);
-    hists.reserve(other.histograms_.size());
-    for (const auto& [name, h] : other.histograms_)
-      hists.emplace_back(name, h.samples());
-  }
-  for (const auto& [name, v] : counters) counter(name).add(v);
-  for (const auto& [name, v] : gauges) gauge(name).set_max(v);
-  for (const auto& [name, samples] : hists) {
-    Histogram& h = histogram(name);
-    for (double s : samples) h.observe(s);
+  KAMI_REQUIRE(&other != this, "a registry cannot merge into itself");
+  // Straight from the other side's maps: both locks at once (scoped_lock
+  // orders them deadlock-free), no snapshot copies.
+  std::scoped_lock lock(mu_, other.mu_);
+  for (const auto& [name, c] : other.counters_)
+    find_or_create(counters_, name).add(c.value());
+  for (const auto& [name, g] : other.gauges_) find_or_create(gauges_, name).set_max(g.value());
+  for (const auto& [name, h] : other.histograms_) {
+    Histogram& into = find_or_create(histograms_, name);
+    std::scoped_lock samples(into.mu_, h.mu_);
+    into.samples_.insert(into.samples_.end(), h.samples_.begin(), h.samples_.end());
+    into.sorted_ = false;
   }
 }
 

@@ -107,7 +107,7 @@ class Histogram {
   /// p in [0, 100] (enforced), 0.0 when there are no samples.
   double percentile(double p) const;
 
-  /// All samples in observation order (used by shard merging).
+  /// All samples in observation order.
   std::vector<double> samples() const {
     std::lock_guard lock(mu_);
     return samples_;
@@ -120,6 +120,7 @@ class Histogram {
   }
 
  private:
+  friend class MetricRegistry;  // merge_from appends samples under both locks
   void ensure_sorted_locked() const;
 
   mutable std::mutex mu_;

@@ -75,13 +75,8 @@ FleetConfig fleet_config_for(const ChaosPoint& p,
   // and execution order are functions of the point alone.
   cfg.async_workers_per_device = 0;
   cfg.probe_cooldown_requests = p.probe_cooldown;
-  cfg.blackout_failure_threshold = 1;
   cfg.hedge_deadline_requests = p.hedge;
   cfg.route_skew = p.route_skew;
-  // Hermetic planner state: routing must not read (or warm) the process-wide
-  // ProfileCache/Predictor, or a replay would route differently.
-  cfg.profile_cache = std::make_shared<core::ProfileCache>();
-  cfg.predictor = std::make_shared<model::Predictor>();
   cfg.flight = flight;
   cfg.slo = slo;
   cfg.request_id_prefix = prefix;
@@ -255,8 +250,8 @@ ChaosOutcome run_point_impl(const ChaosPoint& p,
   ChaosOutcome out = run_scenario<T>(p, flight, slo, prefix, first_digest);
   if (out.violation) return out;
 
-  // Deterministic replay: the whole scenario again from scratch — fresh
-  // fleet, fresh hermetic planner state, same ids — must reproduce the same
+  // Deterministic replay: the whole scenario again from scratch — a fresh
+  // fleet, so fresh planning state, same ids — must reproduce the same
   // outcome byte-for-byte — code and message included, so a deadline abort
   // must recur at the same point. (Observability detached: it must not
   // matter.)
@@ -398,8 +393,8 @@ ChaosOutcome run_chaos_point(const ChaosPoint& p,
 ChaosReport run_campaign(std::uint64_t base_seed, std::size_t points, int workers,
                          const std::shared_ptr<obs::FlightRecorder>& flight,
                          const std::shared_ptr<SloTracker>& slo) {
-  // Replication-parallel: every point gets a fresh fleet (hermetic planner
-  // state included) and its own recorder/tracker, so points never share
+  // Replication-parallel: every point gets a fresh fleet (which owns its
+  // planning state) and its own recorder/tracker, so points never share
   // state and the campaign is order-independent. Outcomes land in
   // seed-indexed slots and fold serially in seed order — the report and
   // the observability contents never depend on the worker count.

@@ -14,8 +14,9 @@
 //     tiny shard queues in manual-drain mode, and hedged dispatch (which
 //     only fires with two or more devices).
 //
-// run_chaos_point() builds the point's fleet from scratch (manual drain,
-// hermetic planner state) and checks every invariant on every point:
+// run_chaos_point() builds the point's fleet from scratch (manual drain; the
+// fleet owns its planning state, so no point reads or warms another's) and
+// checks every invariant on every point:
 //
 //   * bit-correct-or-typed — chaos_detail::contract_violation on the main
 //     request and on every storm request's future: faults may slow or

@@ -5,6 +5,16 @@
 
 namespace kami::serve {
 
+namespace {
+
+/// Routing score multiplier (< 1 favors) for the device that last served the
+/// request's exact (precision, algo, m, n, k).
+constexpr double kAffinityBonus = 0.85;
+/// Blackout refusals before a device is marked Down: the first one.
+constexpr int kBlackoutFailureThreshold = 1;
+
+}  // namespace
+
 const char* device_health_name(DeviceHealth h) noexcept {
   switch (h) {
     case DeviceHealth::Healthy: return "healthy";
@@ -48,7 +58,7 @@ FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg)) {
     // over the whole failover chain — shard servers must not double-count.
     serve_cfg.slo = nullptr;
     serve_cfg.request_id_prefix = cfg_.request_id_prefix + "-d" + std::to_string(i);
-    shard->server = std::make_unique<GemmServer>(serve_cfg);
+    shard->server = std::make_unique<GemmServer>(serve_cfg, cache_, predictor_);
     shard->queue = std::make_unique<exec::BoundedTaskQueue>(dev.queue_depth);
     shards_.push_back(std::move(shard));
   }
@@ -90,14 +100,6 @@ DeviceHealth FleetServer::health(std::size_t i) const {
 
 void FleetServer::set_blackout(std::size_t i, bool down) {
   shards_.at(i)->blackout.store(down, std::memory_order_relaxed);
-}
-
-core::ProfileCache& FleetServer::route_cache() const {
-  return cfg_.profile_cache ? *cfg_.profile_cache : core::ProfileCache::global();
-}
-
-model::Predictor& FleetServer::route_predictor() const {
-  return cfg_.predictor ? *cfg_.predictor : model::Predictor::global();
 }
 
 void FleetServer::update_healthy_gauge() {
@@ -150,7 +152,7 @@ ServeError FleetServer::note_blackout_refusal(int idx, std::size_t m, std::size_
     std::lock_guard lock(mu_);
     ++s.consecutive_refusals;
     if (s.health != DeviceHealth::Down &&
-        s.consecutive_refusals >= cfg_.blackout_failure_threshold) {
+        s.consecutive_refusals >= kBlackoutFailureThreshold) {
       s.health = DeviceHealth::Down;
       s.probe_cooldown = cfg_.probe_cooldown_requests;
       metrics.counter("fleet.marked_down").increment();
@@ -166,7 +168,7 @@ ServeError FleetServer::note_blackout_refusal(int idx, std::size_t m, std::size_
 void FleetServer::note_success(int idx, const AffinityKey& key) {
   std::lock_guard lock(mu_);
   shards_[static_cast<std::size_t>(idx)]->consecutive_refusals = 0;
-  if (cfg_.shape_affinity) affinity_[key] = idx;
+  affinity_[key] = idx;
 }
 
 std::vector<int> FleetServer::route_order(core::Algo algo, Precision prec,
@@ -194,8 +196,8 @@ std::vector<int> FleetServer::route_order(core::Algo algo, Precision prec,
     double seconds = 0.0;
     const char* source = "heuristic";
     try {
-      const core::PlanEstimate est = core::estimate_plan(
-          route_cache(), route_predictor(), algo, spec, prec, m, n, k, opt);
+      const core::PlanEstimate est =
+          core::estimate_plan(*cache_, *predictor_, algo, spec, prec, m, n, k, opt);
       if (est.cycles > 0.0 && est.source != core::PlanSource::Unplanned) {
         seconds = est.cycles / (spec.boost_clock_ghz * 1e9);
         source = core::plan_source_name(est.source);
@@ -215,11 +217,8 @@ std::vector<int> FleetServer::route_order(core::Algo algo, Precision prec,
 
     double score =
         seconds * (1.0 + cfg_.queue_depth_penalty * static_cast<double>(s.queue->size()));
-    if (cfg_.shape_affinity) {
-      const auto it = affinity_.find(AffinityKey{prec, algo, m, n, k});
-      if (it != affinity_.end() && it->second == static_cast<int>(i))
-        score *= cfg_.affinity_bonus;
-    }
+    const auto it = affinity_.find(AffinityKey{prec, algo, m, n, k});
+    if (it != affinity_.end() && it->second == static_cast<int>(i)) score *= kAffinityBonus;
     if (i < cfg_.route_skew.size()) score *= cfg_.route_skew[i];
     candidates.push_back(Candidate{score, static_cast<int>(i)});
   }

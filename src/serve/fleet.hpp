@@ -11,13 +11,15 @@
 //
 //   * cost-model routing — per eligible device, core::estimate_plan's
 //     cache -> formula -> Unplanned tiers predict the request's cycles
-//     (never simulating); predictions are normalized to seconds at each
-//     device's clock, scaled by (1 + queue_depth_penalty x queue depth), and
-//     discounted by shape affinity (the device that last served this exact
-//     (precision, algo, shape) keeps it, so warm ProfileCache/Predictor
-//     state stays warm). Devices whose plan is infeasible as requested stay
-//     routable on a peak-throughput heuristic: their ladder may still
-//     degrade. Routing is deterministic: stable sort by (score, index).
+//     (never simulating) against the fleet's own ProfileCache/Predictor pair,
+//     which every shard's GemmServer shares and calibrates; predictions are
+//     normalized to seconds at each device's clock, scaled by
+//     (1 + queue_depth_penalty x queue depth), and discounted by shape
+//     affinity (the device that last served this exact (precision, algo,
+//     shape) keeps it, so warm planning state stays warm). Devices whose
+//     plan is infeasible as requested stay routable on a peak-throughput
+//     heuristic: their ladder may still degrade. Routing is deterministic:
+//     stable sort by (score, index).
 //   * admission control — a request no healthy device can take (precision
 //     unsupported, every queue full, fleet fully blacked out) is refused
 //     with a typed ResourceExhausted before any rung, breaker, or retry is
@@ -30,11 +32,12 @@
 //     device-independent, so the eventual ServeResult is bit-identical to
 //     serving directly on the device that answered.
 //   * health state machine — a device discovered blacked out at dispatch is
-//     marked Down and leaves the routing set. The fleet's request counter is
-//     its probe clock: after probe_cooldown_requests further fleet requests
-//     the shard moves to Probing, and the next request's health tick pings
-//     it (an out-of-band probe against the blackout flag): cleared -> back
-//     to Healthy, still dark -> Down again with a fresh cooldown.
+//     marked Down (on its first refusal) and leaves the routing set. The
+//     fleet's request counter is its probe clock: after
+//     probe_cooldown_requests further fleet requests the shard moves to
+//     Probing, and the next request's health tick pings it (an out-of-band
+//     probe against the blackout flag): cleared -> back to Healthy, still
+//     dark -> Down again with a fresh cooldown.
 //   * hedged retries — optionally (hedge_deadline_requests), a
 //     deadline-carrying request is dispatched to the two best-ranked devices
 //     (sequentially, so the outcome is deterministic) and the faster success
@@ -51,11 +54,11 @@
 // FleetConfig is the single-device async server (its queue wait lands in
 // fleet.queue_wait_cycles, the serving layer's one queue-wait measure).
 //
-// Determinism contract (the chaos campaign's ground): with manual
-// drain (async_workers_per_device == 0) and a private ProfileCache/Predictor,
-// identical request sequences against identical fleet state produce
-// identical routing decisions, health transitions, results, and typed
-// errors.
+// Determinism contract (the chaos campaign's ground): with manual drain
+// (async_workers_per_device == 0), identical request sequences against a
+// freshly built fleet produce identical routing decisions, health
+// transitions, planner tiers, results, and typed errors — the fleet owns all
+// of its planning state, so nothing outside it can change a decision.
 #pragma once
 
 #include <atomic>
@@ -103,19 +106,10 @@ struct FleetConfig {
   int async_workers_per_device = 1;
 
   // -- routing policy.
-  bool shape_affinity = true;
-  /// Score multiplier (< 1 favors) for the device that last served the
-  /// request's exact (precision, algo, m, n, k).
-  double affinity_bonus = 0.85;
   /// Predicted seconds are scaled by (1 + penalty * queued_requests).
   double queue_depth_penalty = 1.0;
-  /// Max devices tried per request (failover chain length). 0 = all
-  /// eligible devices.
-  int max_route_attempts = 0;
 
   // -- health policy.
-  /// Blackout refusals before a device is marked Down (1 = first refusal).
-  int blackout_failure_threshold = 1;
   /// Fleet requests a Down device waits before it becomes Probing.
   int probe_cooldown_requests = 8;
 
@@ -126,12 +120,6 @@ struct FleetConfig {
   /// on the predicted score. Empty = no skew; shorter than the fleet = 1.0
   /// for the remainder.
   std::vector<double> route_skew;
-
-  /// Planning state the router consults. nullptr = the process-wide
-  /// ProfileCache::global() / Predictor::global(). The chaos campaign
-  /// injects private instances so routing replays hermetically.
-  std::shared_ptr<core::ProfileCache> profile_cache;
-  std::shared_ptr<model::Predictor> predictor;
 
   std::string request_id_prefix = "fleet";
   std::shared_ptr<obs::FlightRecorder> flight;  ///< propagated to every shard
@@ -163,10 +151,11 @@ struct FleetResult {
 class FleetServer {
  public:
   /// Validates every device spec (sim::validate_device — typed
-  /// PreconditionError naming the offending field) and pre-registers the
-  /// fleet.* metrics at zero. No threads are created here; shard workers
-  /// start lazily on the first submit_async (never in manual-drain mode), so
-  /// construction + destruction with no requests is a strict no-op.
+  /// PreconditionError naming the offending field), builds the fleet's one
+  /// ProfileCache/Predictor pair, and pre-registers the fleet.* metrics at
+  /// zero. No threads are created here; shard workers start lazily on the
+  /// first submit_async (never in manual-drain mode), so construction +
+  /// destruction with no requests is a strict no-op.
   explicit FleetServer(FleetConfig cfg = table3_fleet());
 
   /// Closes every shard queue, joins the workers, then drains anything still
@@ -219,6 +208,10 @@ class FleetServer {
   /// Direct access to one shard's GemmServer (tests: breaker state).
   GemmServer& shard_server(std::size_t i) { return *shards_.at(i)->server; }
 
+  /// The planning state the router and every shard server share.
+  core::ProfileCache& profile_cache() const noexcept { return *cache_; }
+  model::Predictor& predictor() const noexcept { return *predictor_; }
+
   const FleetConfig& config() const noexcept { return cfg_; }
 
  private:
@@ -245,9 +238,6 @@ class FleetServer {
     return cfg_.request_id_prefix + "-" +
            std::to_string(request_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
-
-  core::ProfileCache& route_cache() const;
-  model::Predictor& route_predictor() const;
 
   /// Advance the health clock by one fleet request: Down shards count down
   /// toward Probing; Probing shards are pinged against their blackout flag.
@@ -281,6 +271,8 @@ class FleetServer {
                                      const Matrix<T>& B, core::GemmOptions opt);
 
   FleetConfig cfg_;
+  std::shared_ptr<core::ProfileCache> cache_ = std::make_shared<core::ProfileCache>();
+  std::shared_ptr<model::Predictor> predictor_ = std::make_shared<model::Predictor>();
   bool manual_drain_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> request_counter_{0};
@@ -362,11 +354,6 @@ FleetResult<T> FleetServer::serve_fleet_request(const std::string& id,
     return out;
   }
 
-  const std::size_t limit =
-      cfg_.max_route_attempts > 0
-          ? std::min(order.size(), static_cast<std::size_t>(cfg_.max_route_attempts))
-          : order.size();
-
   ServeError last{ErrorCode::ResourceExhausted, "no device dispatched the request"};
   int tried = 0;
   std::size_t pos = 0;
@@ -434,7 +421,7 @@ FleetResult<T> FleetServer::serve_fleet_request(const std::string& id,
     pos = 2;
   }
 
-  for (; pos < limit; ++pos) {
+  for (; pos < order.size(); ++pos) {
     const int idx = order[pos];
     ++tried;
     ServeResult<T> res;

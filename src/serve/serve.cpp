@@ -57,7 +57,15 @@ ErrorCode classify_exception(const std::exception_ptr& ep) noexcept {
   }
 }
 
-GemmServer::GemmServer(ServeConfig cfg) : cfg_(std::move(cfg)) {
+GemmServer::GemmServer(ServeConfig cfg)
+    : GemmServer(std::move(cfg), std::make_shared<core::ProfileCache>(),
+                 std::make_shared<model::Predictor>()) {}
+
+GemmServer::GemmServer(ServeConfig cfg, std::shared_ptr<core::ProfileCache> cache,
+                       std::shared_ptr<model::Predictor> predictor)
+    : cfg_(std::move(cfg)), cache_(std::move(cache)), predictor_(std::move(predictor)) {
+  KAMI_REQUIRE(cache_ != nullptr && predictor_ != nullptr,
+               "a GemmServer needs a ProfileCache and a Predictor");
   // Pre-register the serving metrics at zero. A server that is constructed
   // and torn down without a single request must still export the whole
   // serve.* namespace (dashboards distinguish "served nothing" from "metric

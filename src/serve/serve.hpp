@@ -35,8 +35,14 @@
 // belongs to FleetServer (serve/fleet.hpp); a one-device FleetConfig is the
 // single-device async server.
 //
-// Everything is deterministic: same request + same fault state => same
-// result, same rung, same error message, same trace bytes.
+// Planning state is the server's own: serve() estimates against, and every
+// timed completion calibrates, the server's ProfileCache/Predictor pair — a
+// standalone server owns one, a fleet's shards share the fleet's — never the
+// process-wide instances.
+//
+// Everything is deterministic: same request + same fault state + same
+// planning state => same result, same rung, same error message, same trace
+// bytes.
 #pragma once
 
 #include <atomic>
@@ -77,16 +83,14 @@ struct ServeConfig {
   int breaker_failure_threshold = 3;    ///< consecutive failures that trip a rung
   int breaker_cooldown_requests = 8;    ///< open requests before a half-open probe
 
-  /// Build a span trace per request. Traces are only materialized when a
-  /// flight recorder is attached, so the default configuration pays nothing.
-  bool tracing = true;
   /// Request ids are "<prefix>-<n>" with n counting from 1 per server. A
   /// FleetServer stamps "<fleet prefix>-d<i>" on shard i, and the chaos
   /// campaign a per-seed fleet prefix, so ids stay unique (and
   /// deterministic) across its per-point fleets.
   std::string request_id_prefix = "req";
   /// Destination for finished request traces (shared so dashboards and the
-  /// server can outlive each other); nullptr disables tracing entirely.
+  /// server can outlive each other). A span trace is built per request only
+  /// when one is attached; nullptr (the default) disables tracing entirely.
   std::shared_ptr<obs::FlightRecorder> flight;
   /// Per-shape-class SLO accounting; works with or without tracing.
   std::shared_ptr<SloTracker> slo;
@@ -126,8 +130,13 @@ class GemmServer {
  public:
   /// Construction is passive apart from pre-registering the serve.*
   /// metrics at zero, so a server that is constructed and destroyed without
-  /// ever serving exports zero-valued (not absent) counters.
+  /// ever serving exports zero-valued (not absent) counters. A standalone
+  /// server owns a fresh ProfileCache/Predictor pair.
   explicit GemmServer(ServeConfig cfg = {});
+  /// A server that plans against, and calibrates, a pair it shares with its
+  /// owner: a FleetServer's shards share the fleet's pair with its router.
+  GemmServer(ServeConfig cfg, std::shared_ptr<core::ProfileCache> cache,
+             std::shared_ptr<model::Predictor> predictor);
   GemmServer(const GemmServer&) = delete;
   GemmServer& operator=(const GemmServer&) = delete;
 
@@ -136,6 +145,11 @@ class GemmServer {
                        const Matrix<T>& B, core::GemmOptions opt = {});
 
   const ServeConfig& config() const noexcept { return cfg_; }
+
+  /// The planning state serve() estimates against and every timed
+  /// completion calibrates (tests warm or inspect it here).
+  core::ProfileCache& profile_cache() const noexcept { return *cache_; }
+  model::Predictor& predictor() const noexcept { return *predictor_; }
 
   /// Breaker state for one rung key (for tests and dashboards).
   BreakerState breaker_state(const std::string& device, core::Algo algo, Precision prec,
@@ -191,6 +205,8 @@ class GemmServer {
   double backoff(int attempt) const;
 
   ServeConfig cfg_;
+  std::shared_ptr<core::ProfileCache> cache_;
+  std::shared_ptr<model::Predictor> predictor_;
   std::atomic<std::uint64_t> request_counter_{0};
   mutable std::mutex mu_;
   std::map<RungKey, Breaker> breakers_;
@@ -218,7 +234,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
   // serve.end_to_end_cycles histogram and the SLO tracker read it.
   double clock = 0.0;
   std::optional<obs::TraceBuilder> trace;
-  if (cfg_.tracing && cfg_.flight) {
+  if (cfg_.flight) {
     trace.emplace(id);
     trace->set_meta("algo", algo_name(algo));
     trace->set_meta("device", dev.name);
@@ -361,8 +377,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
     std::optional<core::PlanEstimate> estimate;
     if (trace) trace->open("plan");
     try {
-      estimate = core::estimate_plan(core::ProfileCache::global(),
-                                     model::Predictor::global(), rung.algo, dev,
+      estimate = core::estimate_plan(*cache_, *predictor_, rung.algo, dev,
                                      num_traits<T>::precision, m, n, k, ropt);
       metrics
           .counter(std::string("serve.plan.") +
@@ -416,7 +431,7 @@ ServeResult<T> GemmServer::serve(core::Algo algo, const sim::DeviceSpec& dev,
           ob.p = res.warps;
           ob.options = core::predict_options(ropt);
           ob.simulated_cycles = res.profile.latency;
-          model::Predictor::global().observe(ob);
+          predictor_->observe(ob);
           if (estimate && estimate->source != core::PlanSource::Unplanned)
             metrics.histogram("model.prediction_error_pct")
                 .observe(100.0 * std::abs(res.profile.latency - estimate->cycles) /

@@ -75,9 +75,9 @@ struct FaultHooks {
 /// The per-thread hook block (shared across translation units). Thread-local
 /// so concurrent simulations under the execution engine can't observe (or
 /// consume) each other's armed faults; the engine snapshots the submitting
-/// thread's hooks and re-installs them in each worker via ScopedFault, so a
-/// fault armed around a parallel_for applies to every task exactly as it
-/// would to every iteration of the serial loop.
+/// thread's hooks and re-installs them in every task via ScopedFault, so a
+/// fault armed around a parallel_for applies to every task alike, at any
+/// worker count (a fault one task consumes does not carry over to the next).
 inline FaultHooks& fault_hooks() {
   thread_local FaultHooks hooks;
   return hooks;

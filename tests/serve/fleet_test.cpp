@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/reference.hpp"
+#include "model/predictor.hpp"
 #include "obs/metrics.hpp"
 #include "serve/fleet.hpp"
 #include "serve/slo.hpp"
@@ -50,13 +51,10 @@ bool bits_equal(const Matrix<T>& a, const Matrix<T>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
-/// Manual drain + private planner state: routing decisions and execution
-/// order are functions of the test alone, never of what other tests warmed
-/// into the process-wide ProfileCache/Predictor.
+/// Manual drain: execution order is a function of the test alone. (Routing
+/// already is: every fleet owns its planning state.)
 FleetConfig hermetic(FleetConfig cfg = serve::table3_fleet()) {
   cfg.async_workers_per_device = 0;
-  cfg.profile_cache = std::make_shared<core::ProfileCache>();
-  cfg.predictor = std::make_shared<model::Predictor>();
   return cfg;
 }
 
@@ -85,6 +83,20 @@ TEST(FleetRouting, DeterministicAndTieBrokenByIndex) {
   FleetServer tied(twins());
   const auto tie = tied.route_order(Algo::OneD, Precision::FP16, 64, 64, 64, {});
   EXPECT_EQ(tie, (std::vector<int>{0, 1}));
+}
+
+TEST(FleetRouting, RouterAndShardsShareTheFleetPlanningState) {
+  FleetServer fleet(hermetic());
+  for (std::size_t i = 0; i < fleet.device_count(); ++i) {
+    EXPECT_EQ(&fleet.shard_server(i).profile_cache(), &fleet.profile_cache());
+    EXPECT_EQ(&fleet.shard_server(i).predictor(), &fleet.predictor());
+  }
+  const std::size_t global_before = model::Predictor::global().observation_count();
+  const auto [A, B] = operands<fp16_t>(64, 64, 64);
+  ASSERT_TRUE(fleet.serve<fp16_t>(Algo::OneD, A, B).ok());
+  // The shard's timed completion lands in the pair the router reads.
+  EXPECT_EQ(fleet.predictor().observation_count(), 1u);
+  EXPECT_EQ(model::Predictor::global().observation_count(), global_before);
 }
 
 TEST(FleetRouting, UnsupportedPrecisionLeavesTheRoutingSet) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "baselines/reference.hpp"
+#include "model/predictor.hpp"
 #include "obs/metrics.hpp"
 #include "serve/serve.hpp"
 #include "sim/deadline.hpp"
@@ -358,6 +359,20 @@ TEST(ServeErrors, ClassifyExceptionCoversTheTaxonomy) {
   EXPECT_EQ(classify_exception(
                 std::make_exception_ptr(verify::InvariantViolation("trip"))),
             ErrorCode::TransientFault);
+}
+
+TEST(ServePlanning, EachServerCalibratesOnlyItsOwnPredictor) {
+  const std::size_t global_before = model::Predictor::global().observation_count();
+  GemmServer first, second;
+  EXPECT_NE(&first.predictor(), &second.predictor());
+  EXPECT_NE(&first.profile_cache(), &second.profile_cache());
+  const auto [A, B] = operands<fp16_t>(64, 64, 64);
+  ASSERT_TRUE(first.serve<fp16_t>(Algo::OneD, sim::gh200(), A, B).ok());
+  // The timed completion calibrates the server that served it, and nothing
+  // else: not a sibling server, not the process-wide predictor.
+  EXPECT_EQ(first.predictor().observation_count(), 1u);
+  EXPECT_EQ(second.predictor().observation_count(), 0u);
+  EXPECT_EQ(model::Predictor::global().observation_count(), global_before);
 }
 
 TEST(ServeErrors, CodeAndBreakerNamesAreStable) {
