@@ -42,6 +42,7 @@ GemmResult<T> kami_1d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
 
   const Plan plan = plan_gemm(Algo::OneD, dev, num_traits<T>::precision, m, n, k, opt);
+  observe_launch(plan);
 
   // NumericsOnly: the 1D accumulation order equals the plain sequential-k
   // chain (see core/numeric_path.hpp), so skip the simulator entirely.

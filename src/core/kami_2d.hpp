@@ -29,6 +29,7 @@ GemmResult<T> kami_2d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
 
   const Plan plan = plan_gemm(Algo::TwoD, dev, num_traits<T>::precision, m, n, k, opt);
+  observe_launch(plan);
 
   // NumericsOnly: SUMMA stages cover k in ascending order, so each element
   // is one sequential-k chain — same as the plain numeric path.

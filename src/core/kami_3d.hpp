@@ -46,6 +46,7 @@ GemmResult<T> kami_3d_gemm(const sim::DeviceSpec& dev, const Matrix<T>& A,
   KAMI_REQUIRE(B.rows() == k, "inner dimensions must agree");
 
   const Plan plan = plan_gemm(Algo::ThreeD, dev, num_traits<T>::precision, m, n, k, opt);
+  observe_launch(plan);
 
   // NumericsOnly: layer l is the exact partial over the l-th k-segment and
   // layers reduce in ascending order, which is precisely what the layered

@@ -21,26 +21,27 @@
 //     reference, the simulated kernels, and this loop stop agreeing bit for
 //     bit.
 //
-// Why the SIMD kernel is bit-identical to the scalar one (KAMI_NO_SIMD):
-//   * The inner product is vectorized over j — C columns — and each vector
-//     lane carries exactly one (i, j) accumulator through the k extent in
-//     ascending order. Lanes never exchange or re-associate values, so each
-//     lane performs the same single-rounded multiply-add sequence the scalar
-//     loop performs, and the j-tail that doesn't fill a vector runs the same
-//     chain in scalar registers. Vector width, register blocking, and tail
-//     handling therefore cannot change any bit of any C element (the
-//     differential harness and the KAMI_NO_SIMD CI job pin this).
+// Why the SIMD kernel is bit-identical to the scalar one (KAMI_NO_SIMD), at
+// every ISA level: see core/vector_kernels.hpp. The product runs one
+// dispatched accumulate_tile call per k-tile over all rows of C.
 //
 // Host cost: m*k + k*n table-driven decodes (instead of 2*m*n*k scalar
-// conversions), a vectorized ikj product, and one narrowing per C element.
-// Scratch comes from the thread's Arena (core/arena.hpp): one bump
-// allocation per buffer, rewound after every call, capacity capped by the
-// arena's retain limit — the old thread_local vectors pinned the high-water
-// shape forever on long-lived serving threads.
+// conversions), a vectorized ikj product, and one narrowing per C element;
+// fp32/fp64, whose codec is the identity, skip the decode and narrowing and
+// work in the caller's buffers. Scratch comes from the thread's Arena
+// (core/arena.hpp): one bump allocation per buffer, rewound after every
+// call, capacity capped by the arena's retain limit — the old thread_local
+// vectors pinned the high-water shape forever on long-lived serving threads.
+//
+// The serving ladder's reference rung runs numeric_gemm too (layers = 1).
+// baselines::reference_gemm is the independent oracle it is tested against,
+// never a serving path: the system under test and its oracle must not be the
+// same code.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "core/arena.hpp"
 #include "core/vector_kernels.hpp"
@@ -49,12 +50,13 @@
 
 namespace kami::core {
 
-// The SIMD machinery itself (SimdVec, accumulate_row_tile, kNumericKTile,
-// numeric_simd_lanes/name) lives in core/vector_kernels.hpp so the Full-mode
-// simulator data plane (sim/warp.hpp) runs the exact same kernels.
+// The SIMD kernels (accumulate_tile, add_span, kNumericKTile, the ISA
+// dispatch) live in core/vector_kernels.hpp so the Full-mode simulator data
+// plane (sim/warp.hpp) runs the exact same kernels.
 
 /// C = A x B into a caller-provided row-major buffer (no allocation beyond
-/// arena scratch). `a` is m x k, `b` is k x n, `c` is m x n.
+/// arena scratch). `a` is m x k, `b` is k x n, `c` is m x n; `c` must not
+/// overlap `a` or `b`.
 template <Scalar T>
 void numeric_gemm_into(const T* a, const T* b, T* c, std::size_t m, std::size_t n,
                        std::size_t k, std::size_t layers = 1) {
@@ -63,15 +65,30 @@ void numeric_gemm_into(const T* a, const T* b, T* c, std::size_t m, std::size_t 
 
   Arena& arena = Arena::tls();
   ArenaScope scope(arena);
-  Acc* Af = arena.alloc<Acc>(m * k);
-  Acc* Bf = arena.alloc<Acc>(k * n);
-  Acc* Cacc = arena.alloc<Acc>(m * n);
+  // Identity codecs (fp32, fp64) accumulate in their storage type: the
+  // operands are read in place and C accumulates straight into `c`, so only
+  // the 3D layer partials take scratch. Other formats decode into scratch.
+  constexpr bool identity = std::is_same_v<T, Acc>;
+  const Acc* Af = nullptr;
+  const Acc* Bf = nullptr;
+  Acc* Cacc = nullptr;
+  if constexpr (identity) {
+    Af = a;
+    Bf = b;
+    Cacc = c;
+  } else {
+    Acc* af = arena.alloc<Acc>(m * k);
+    Acc* bf = arena.alloc<Acc>(k * n);
+    types::decode_span(a, af, m * k);
+    types::decode_span(b, bf, k * n);
+    Af = af;
+    Bf = bf;
+    Cacc = arena.alloc<Acc>(m * n);
+  }
   Acc* Pacc = layers > 1 ? arena.alloc<Acc>(m * n) : nullptr;
-
-  types::decode_span(a, Af, m * k);
-  types::decode_span(b, Bf, k * n);
   std::fill_n(Cacc, m * n, Acc{});
 
+  const NumericKernels<Acc>& kernels = numeric_kernels<Acc>();
   const std::size_t kb = k / layers;
   for (std::size_t l = 0; l < layers; ++l) {
     Acc* dst = l == 0 ? Cacc : Pacc;
@@ -79,14 +96,12 @@ void numeric_gemm_into(const T* a, const T* b, T* c, std::size_t m, std::size_t 
     const std::size_t k0 = l * kb;
     for (std::size_t kt = k0; kt < k0 + kb; kt += kNumericKTile) {
       const std::size_t kend = std::min(kt + kNumericKTile, k0 + kb);
-      for (std::size_t i = 0; i < m; ++i)
-        detail::accumulate_row_tile(dst + i * n, Af + i * k, Bf, kt, kend, n);
+      kernels.accumulate_tile(dst, n, Af, k, Bf, m, n, kt, kend);
     }
-    if (l > 0)
-      for (std::size_t e = 0; e < m * n; ++e) Cacc[e] += Pacc[e];
+    if (l > 0) kernels.add_span(Cacc, Pacc, m * n);
   }
 
-  types::encode_span(Cacc, c, m * n);
+  if constexpr (!identity) types::encode_span(Cacc, c, m * n);
 }
 
 template <Scalar T>

@@ -211,11 +211,8 @@ Plan plan_gemm(Algo algo, const sim::DeviceSpec& dev, Precision prec, std::size_
           const std::size_t smem_need = smem_demand_bytes(plan, prec, m, n);
           tried.increment();
           if (plan.reg_demand_bytes <= capacity &&
-              smem_need <= dev.smem_bytes_per_block) {
-            metrics.histogram("planner.reg_demand_bytes")
-                .observe(static_cast<double>(plan.reg_demand_bytes));
+              smem_need <= dev.smem_bytes_per_block)
             return plan;
-          }
           if (plan.reg_demand_bytes > capacity) {
             rejected_regs.increment();
             last_error = "register demand " + std::to_string(plan.reg_demand_bytes) +
@@ -241,6 +238,12 @@ Plan plan_gemm(Algo algo, const sim::DeviceSpec& dev, Precision prec, std::size_
       "no feasible launch plan for algo=" + std::string(algo_tag) + " prec=" +
       precision_name(prec) + " m=" + std::to_string(m) + " n=" + std::to_string(n) +
       " k=" + std::to_string(k) + " on " + dev.name + ": " + last_error);
+}
+
+void observe_launch(const Plan& plan) {
+  obs::MetricRegistry::current()
+      .histogram("planner.reg_demand_bytes")
+      .observe(static_cast<double>(plan.reg_demand_bytes));
 }
 
 }  // namespace kami::core

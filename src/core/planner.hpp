@@ -37,4 +37,10 @@ std::size_t register_demand_bytes(const Plan& plan, Precision prec, std::size_t 
 Plan plan_gemm(Algo algo, const sim::DeviceSpec& dev, Precision prec, std::size_t m,
                std::size_t n, std::size_t k, const GemmOptions& opt);
 
+/// Publish the register demand of a plan a kernel is about to run into the
+/// planner.reg_demand_bytes histogram. Planning alone publishes nothing: the
+/// router, the plan estimate and the profile cache re-plan one shape several
+/// times per served request, and a histogram keeps every sample.
+void observe_launch(const Plan& plan);
+
 }  // namespace kami::core

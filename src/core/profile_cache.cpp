@@ -2,13 +2,15 @@
 
 namespace kami::core {
 
-ProfileCache::ProfileCache(std::size_t capacity)
-    : capacity_(capacity),
-      hits_(obs::MetricRegistry::global().counter("profile_cache.hits")),
-      misses_(obs::MetricRegistry::global().counter("profile_cache.misses")),
-      inserts_(obs::MetricRegistry::global().counter("profile_cache.inserts")),
-      evictions_(obs::MetricRegistry::global().counter("profile_cache.evictions")),
-      size_gauge_(obs::MetricRegistry::global().gauge("profile_cache.size")) {
+namespace {
+
+/// Events land in the registry current on the calling thread when they
+/// happen, so a lookup inside an engine task counts in that task's shard.
+void count(const char* name) { obs::MetricRegistry::current().counter(name).increment(); }
+
+}  // namespace
+
+ProfileCache::ProfileCache(std::size_t capacity) : capacity_(capacity) {
   KAMI_REQUIRE(capacity_ >= 1, "cache capacity must be positive");
 }
 
@@ -16,10 +18,10 @@ std::optional<CachedProfile> ProfileCache::find(const ProfileKey& key) {
   const std::scoped_lock lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    misses_.increment();
+    count("profile_cache.misses");
     return std::nullopt;
   }
-  hits_.increment();
+  count("profile_cache.hits");
   lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
   return it->second->second;
 }
@@ -35,12 +37,11 @@ void ProfileCache::insert(const ProfileKey& key, const CachedProfile& value) {
   if (index_.size() >= capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
-    evictions_.increment();
+    count("profile_cache.evictions");
   }
   lru_.emplace_front(key, value);
   index_.emplace(key, lru_.begin());
-  inserts_.increment();
-  size_gauge_.set(static_cast<double>(index_.size()));
+  count("profile_cache.inserts");
 }
 
 std::optional<CachedProfile> ProfileCache::try_get(const ProfileKey& key) const {
@@ -67,7 +68,6 @@ void ProfileCache::clear() {
   const std::scoped_lock lock(mu_);
   lru_.clear();
   index_.clear();
-  size_gauge_.set(0.0);
 }
 
 ProfileCache& ProfileCache::global() {

@@ -5,7 +5,11 @@
 // per distinct key serves every later consumer: autotune candidates,
 // batched sweep points, and the bench binaries' repeated shapes. The cache
 // is a small LRU keyed by that fingerprint and instrumented with
-// profile_cache.{hits,misses,inserts,evictions} counters plus a size gauge.
+// profile_cache.{hits,misses,inserts,evictions} counters, published into
+// MetricRegistry::current() as each event happens (so engine tasks count in
+// their own shards). There is no size gauge: caches exist once per server
+// and fleet, so a process-wide gauge would be last-writer across unrelated
+// caches; callers read size().
 //
 // Keys are canonicalized through the planner: the key stores the *resolved*
 // warp count, spill ratio, slice width and 3D chunk, so an auto request
@@ -115,11 +119,6 @@ class ProfileCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::map<ProfileKey, std::list<Entry>::iterator> index_;
-  obs::Counter& hits_;
-  obs::Counter& misses_;
-  obs::Counter& inserts_;
-  obs::Counter& evictions_;
-  obs::Gauge& size_gauge_;
 };
 
 /// Cycle profile of (algo, dev, m, n, k, opt), served from `cache` or

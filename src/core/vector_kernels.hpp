@@ -1,26 +1,36 @@
-// Portable SIMD primitives shared by every numeric data plane: the
+// The accumulate kernels shared by every numeric data plane: the
 // NumericsOnly fast path (core/numeric_path.hpp) and the Full-mode simulator
-// fragment ops (sim/warp.hpp) both compile against these kernels, so "Full is
-// bit-identical to NumericsOnly" holds by construction — the two paths run
-// the same multiply-add chains through the same functions.
+// fragment ops (sim/warp.hpp) both call these, so "Full is bit-identical to
+// NumericsOnly" holds by construction — the two paths run the same
+// multiply-add chains through the same functions.
 //
-// Bit-identity contract (the reason these loops look the way they do):
-//   * accumulate_row_tile vectorizes over j — C columns — and each vector
-//     lane carries exactly one (i, j) accumulator through the k extent in
+// Bit-identity contract (the reason the kernel body looks the way it does):
+//   * accumulate_tile vectorizes over j — C columns — and each vector lane
+//     carries exactly one (i, j) accumulator through the k extent in
 //     ascending order. Lanes never exchange or re-associate values, so each
 //     lane performs the same single-rounded multiply-add sequence the scalar
 //     loop performs, and the j-tail that doesn't fill a vector runs the same
-//     chain in scalar registers. Vector width, register blocking, and tail
-//     handling therefore cannot change any bit of any C element (the
-//     differential harness and the KAMI_NO_SIMD CI job pin this).
+//     chain in scalar registers. Vector width, ISA level, register blocking
+//     and tail handling therefore cannot change any bit of any C element
+//     (the IsaDispatch suite, the differential harness and the KAMI_NO_SIMD
+//     CI job pin this).
 //   * add_span is element-wise (c[i] += p[i]): no reduction tree, no
 //     re-association, so the SIMD and scalar forms agree bit-for-bit.
-//   * simd_splat broadcasts by lane assignment (not `v + x`, which would
-//     quietly turn -0.0 into +0.0 and flip downstream product signs).
+//
+// ISA dispatch. The one kernel body (core/vector_kernels_body.inc) is
+// compiled by core/vector_kernels.cpp once per SimdLevel: Baseline (the
+// build's own flags) and, on x86-64 with SIMD enabled, Avx2
+// (target("avx2") — AVX2 only, not FMA, so no multiply-add can be
+// contracted even by accident). The level is picked once per process from
+// the CPU's feature bits; every call is one indirect call per rows x k-tile,
+// not per row. Each level's copy lives in its own namespace inside an
+// anonymous one (internal linkage, distinct names), so the linker can never
+// fold an AVX2 instantiation into a baseline caller (the ODR trap of
+// compiling one inline template under two targets). Non-x86 and KAMI_NO_SIMD
+// builds have the single Baseline level.
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 
 namespace kami::core {
 
@@ -31,136 +41,55 @@ namespace kami::core {
 /// over ascending k, so results are bit-identical (differential-tested).
 inline constexpr std::size_t kNumericKTile = 64;
 
-namespace detail {
+/// The instruction-set levels the kernel body is compiled for.
+enum class SimdLevel { Baseline, Avx2 };
 
-#if !defined(KAMI_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define KAMI_NUMERIC_SIMD 1
-
+/// One level's compiled kernels for accumulator type Acc (float or double).
 template <typename Acc>
-struct SimdVec;
-template <>
-struct SimdVec<float> {
-  typedef float type __attribute__((vector_size(32)));
+struct NumericKernels {
+  /// c[i*ldc + j] += sum_{kk in [kt, kend)} a[i*lda + kk] * b[kk*n + j] for
+  /// every i < rows and j < n, each (i, j) accumulated in ascending kk.
+  /// c must not overlap a or b.
+  void (*accumulate_tile)(Acc* c, std::size_t ldc, const Acc* a, std::size_t lda,
+                          const Acc* b, std::size_t rows, std::size_t n, std::size_t kt,
+                          std::size_t kend);
+  /// dst[i] += src[i] for i < n. dst and src are disjoint or identical.
+  void (*add_span)(Acc* dst, const Acc* src, std::size_t n);
 };
-template <>
-struct SimdVec<double> {
-  typedef double type __attribute__((vector_size(32)));
-};
 
+/// True when `level` is compiled into this build and the host CPU runs it.
+bool simd_level_supported(SimdLevel level) noexcept;
+
+/// The level in use: the highest supported one, chosen once per process.
+SimdLevel numeric_simd_level() noexcept;
+
+/// Display name of a level ("scalar" for the KAMI_NO_SIMD baseline).
+const char* simd_level_name(SimdLevel level) noexcept;
+
+/// The kernels compiled for `level`, or nullptr when the build has no such
+/// copy. Tests call every supported level directly through this.
 template <typename Acc>
-inline constexpr std::size_t kSimdWidth =
-    sizeof(typename SimdVec<Acc>::type) / sizeof(Acc);
+const NumericKernels<Acc>* numeric_kernels_at(SimdLevel level) noexcept;
 
-/// Broadcast by lane assignment (not `v + x`, which would quietly turn -0.0
-/// into +0.0 and flip downstream product signs).
+/// The kernels of numeric_simd_level().
 template <typename Acc>
-inline typename SimdVec<Acc>::type simd_splat(Acc x) noexcept {
-  typename SimdVec<Acc>::type v{};
-  for (std::size_t l = 0; l < kSimdWidth<Acc>; ++l) v[l] = x;
-  return v;
-}
-#endif
-
-/// crow[j] += sum_{kk in [kt, kend)} arow[kk] * bf[kk*n + j], accumulated in
-/// ascending kk per element. The SIMD form register-blocks two vectors of C
-/// columns across the whole k-tile (C is loaded/stored once per tile instead
-/// of once per kk); every lane still runs the scalar chain.
-template <typename Acc>
-inline void accumulate_row_tile(Acc* __restrict__ crow, const Acc* __restrict__ arow,
-                                const Acc* __restrict__ bf, std::size_t kt,
-                                std::size_t kend, std::size_t n) {
-#ifdef KAMI_NUMERIC_SIMD
-  using V = typename SimdVec<Acc>::type;
-  constexpr std::size_t W = kSimdWidth<Acc>;
-  std::size_t j = 0;
-  for (; j + 2 * W <= n; j += 2 * W) {
-    V c0, c1;
-    std::memcpy(&c0, crow + j, sizeof(V));
-    std::memcpy(&c1, crow + j + W, sizeof(V));
-    for (std::size_t kk = kt; kk < kend; ++kk) {
-      const V av = simd_splat(arow[kk]);
-      const Acc* brow = bf + kk * n + j;
-      V b0, b1;
-      std::memcpy(&b0, brow, sizeof(V));
-      std::memcpy(&b1, brow + W, sizeof(V));
-      c0 += av * b0;
-      c1 += av * b1;
-    }
-    std::memcpy(crow + j, &c0, sizeof(V));
-    std::memcpy(crow + j + W, &c1, sizeof(V));
-  }
-  if (j + W <= n) {
-    V c0;
-    std::memcpy(&c0, crow + j, sizeof(V));
-    for (std::size_t kk = kt; kk < kend; ++kk) {
-      const V av = simd_splat(arow[kk]);
-      V b0;
-      std::memcpy(&b0, bf + kk * n + j, sizeof(V));
-      c0 += av * b0;
-    }
-    std::memcpy(crow + j, &c0, sizeof(V));
-    j += W;
-  }
-  for (; j < n; ++j) {
-    Acc cj = crow[j];
-    for (std::size_t kk = kt; kk < kend; ++kk) cj += arow[kk] * bf[kk * n + j];
-    crow[j] = cj;
-  }
-#else
-  // Scalar fallback (KAMI_NO_SIMD or non-GNU compiler): the original loop
-  // nest. The compiler may still auto-vectorize it — that is fine, because
-  // the per-element chains above are what define the result bits.
-  for (std::size_t kk = kt; kk < kend; ++kk) {
-    const Acc av = arow[kk];
-    const Acc* brow = bf + kk * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-  }
-#endif
-}
-
-/// dst[i] += src[i] element-wise in accumulator precision. Used by the
-/// Full-mode add_inplace/add_inplace_at vector ops. No re-association, so
-/// SIMD and scalar builds agree bit-for-bit. dst and src must either be
-/// disjoint or identical ranges (the in-order scalar loop and the blocked
-/// SIMD loop agree for both).
-template <typename Acc>
-inline void add_span(Acc* dst, const Acc* src, std::size_t n) {
-#ifdef KAMI_NUMERIC_SIMD
-  using V = typename SimdVec<Acc>::type;
-  constexpr std::size_t W = kSimdWidth<Acc>;
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    V d, s;
-    std::memcpy(&d, dst + i, sizeof(V));
-    std::memcpy(&s, src + i, sizeof(V));
-    d += s;
-    std::memcpy(dst + i, &d, sizeof(V));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-#else
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-#endif
-}
-
-}  // namespace detail
+const NumericKernels<Acc>& numeric_kernels() noexcept;
 
 /// Width (in accumulator lanes) of the explicit SIMD kernel, 1 when the
-/// scalar fallback is compiled in. Exported so benchmarks can stamp the
-/// SIMD configuration into their run-report meta.
+/// scalar fallback is compiled in. Every level uses 32-byte vectors.
+/// Exported so benchmarks can stamp the SIMD configuration into their
+/// run-report meta.
 template <typename Acc>
 inline constexpr std::size_t numeric_simd_lanes =
-#ifdef KAMI_NUMERIC_SIMD
-    detail::kSimdWidth<Acc>;
+#if !defined(KAMI_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
+    32 / sizeof(Acc);
 #else
     1;
 #endif
 
+/// Name of the level in use.
 inline const char* numeric_simd_name() noexcept {
-#ifdef KAMI_NUMERIC_SIMD
-  return "vector-ext-32B";
-#else
-  return "scalar";
-#endif
+  return simd_level_name(numeric_simd_level());
 }
 
 }  // namespace kami::core

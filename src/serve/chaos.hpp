@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/reference.hpp"
 #include "serve/fleet.hpp"
 #include "serve/serve.hpp"
 #include "verify/differential.hpp"

@@ -21,7 +21,7 @@
 // the same vector kernels as the NumericsOnly fast path
 // (core/vector_kernels.hpp): mma/fma_scalar decode operand rows through the
 // types/decode_tables LUT spans into arena scratch and accumulate with
-// accumulate_row_tile; add_inplace uses the element-wise add_span;
+// accumulate_tile; add_inplace uses the element-wise add_span;
 // fragment<->smem/global copies are row-granular memcpys. Each C element is
 // still one ascending-k sequential chain in accumulator precision, narrowed
 // once — so results are bit-identical to the scalar seed loops and to
@@ -495,7 +495,7 @@ class Warp {
   /// one ascending-k sequential chain per output element in accumulator
   /// precision. Operand rows are decoded through the LUT spans into arena
   /// scratch once (hoisting the num_traits conversions out of the O(m*n*k)
-  /// loop), then the k-tiled accumulate_row_tile — the exact kernel the
+  /// loop), then the k-tiled accumulate_tile — the exact kernel the
   /// NumericsOnly path runs — updates C rows in place. Bit-identical to the
   /// scalar seed triple loop by the argument in core/vector_kernels.hpp.
   template <Scalar T>
@@ -511,11 +511,10 @@ class Warp {
     for (std::size_t r = 0; r < fm; ++r) types::decode_span(A.row(r), Af + r * fk, fk);
     for (std::size_t r = 0; r < fk; ++r) types::decode_span(B.row(r), Bf + r * fn, fn);
     Acc* cbase = C.data() + cr0 * C.cols() + cc0;
+    const core::NumericKernels<Acc>& kernels = core::numeric_kernels<Acc>();
     for (std::size_t kt = 0; kt < fk; kt += core::kNumericKTile) {
       const std::size_t kend = std::min(kt + core::kNumericKTile, fk);
-      for (std::size_t i = 0; i < fm; ++i)
-        core::detail::accumulate_row_tile(cbase + i * C.cols(), Af + i * fk, Bf, kt, kend,
-                                          fn);
+      kernels.accumulate_tile(cbase, C.cols(), Af, fk, Bf, fm, fn, kt, kend);
     }
   }
 
@@ -529,9 +528,10 @@ class Warp {
     using Acc = typename num_traits<T>::acc_t;
     const std::size_t rows = P.rows(), cols = P.cols();
     if (rows == 0 || cols == 0) return;
+    const core::NumericKernels<Acc>& kernels = core::numeric_kernels<Acc>();
     if constexpr (std::is_same_v<T, Acc>) {
       for (std::size_t r = 0; r < rows; ++r)
-        core::detail::add_span(C.row_data(r0 + r) + c0, P.row(r), cols);
+        kernels.add_span(C.row_data(r0 + r) + c0, P.row(r), cols);
     } else {
       core::Arena& arena = core::Arena::tls();
       core::ArenaScope scope(arena);
@@ -541,7 +541,7 @@ class Warp {
         T* crow = C.row_data(r0 + r) + c0;
         types::decode_span(crow, ca, cols);
         types::decode_span(P.row(r), pa, cols);
-        core::detail::add_span(ca, pa, cols);
+        kernels.add_span(ca, pa, cols);
         types::encode_span(ca, crow, cols);
       }
     }

@@ -2,6 +2,10 @@
 // algorithms, not stubs) and the cost structure the paper attributes to each.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <string>
+
 #include "baselines/cublas_like.hpp"
 #include "core/batched.hpp"
 #include "baselines/cublasdx_like.hpp"
@@ -16,6 +20,51 @@ namespace kami::baselines {
 namespace {
 
 const sim::DeviceSpec& nv() { return sim::gh200(); }
+
+// ---------------------------------------------------------------------------
+// Host reference oracle
+// ---------------------------------------------------------------------------
+
+/// The oracle as it was written first: every multiply-add widens both
+/// operands again. Widening once must not change a bit.
+template <Scalar T>
+void expect_widen_once_matches_per_mac(std::size_t m, std::size_t n, std::size_t k) {
+  using Acc = typename num_traits<T>::acc_t;
+  SCOPED_TRACE(std::string(precision_name(num_traits<T>::precision)) + " " +
+               std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k));
+  Rng rng(m * 31 + n * 7 + k);
+  const auto A = random_matrix<T>(m, k, rng, -4.0, 4.0);
+  const auto B = random_matrix<T>(k, n, rng, -4.0, 4.0);
+  const Matrix<T> C = reference_gemm(A, B);
+  const Matrix<double> C64 = reference_gemm_fp64(A, B);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      Acc acc{};
+      double acc64 = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += num_traits<T>::to_acc(A(i, kk)) * num_traits<T>::to_acc(B(kk, j));
+        acc64 += static_cast<double>(num_traits<T>::to_acc(A(i, kk))) *
+                 static_cast<double>(num_traits<T>::to_acc(B(kk, j)));
+      }
+      const Acc want = num_traits<T>::to_acc(num_traits<T>::from_acc(acc));
+      const Acc got = num_traits<T>::to_acc(C(i, j));
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(Acc)), 0) << i << "," << j;
+      ASSERT_EQ(std::memcmp(&acc64, &C64(i, j), sizeof(double)), 0) << i << "," << j;
+    }
+}
+
+TEST(ReferenceOracle, WideningOnceMatchesThePerMacFormOnEveryPrecision) {
+  for (const auto [m, n, k] : {std::array<std::size_t, 3>{1, 1, 1},
+                               std::array<std::size_t, 3>{17, 67, 130},
+                               std::array<std::size_t, 3>{32, 16, 48}}) {
+    expect_widen_once_matches_per_mac<double>(m, n, k);
+    expect_widen_once_matches_per_mac<float>(m, n, k);
+    expect_widen_once_matches_per_mac<tf32_t>(m, n, k);
+    expect_widen_once_matches_per_mac<fp16_t>(m, n, k);
+    expect_widen_once_matches_per_mac<bf16_t>(m, n, k);
+    expect_widen_once_matches_per_mac<fp8_e4m3_t>(m, n, k);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // cuBLASDx-like

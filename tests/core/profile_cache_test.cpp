@@ -349,5 +349,38 @@ TEST(ProfileCache, DeadlineAbortLeavesCacheUntouched) {
   EXPECT_EQ(counter("profile_cache.hits"), 1.0);
 }
 
+// Cache events publish into MetricRegistry::current() when they happen, so
+// a lookup inside an engine task counts in that task's shard and nowhere
+// else.
+TEST(ProfileCache, MissUnderAShardCountsInTheShard) {
+  obs::ScopedMetricsReset reset;
+  ProfileCache cache(16);
+  obs::MetricRegistry shard;
+  {
+    const obs::ScopedMetricShard scoped(shard);
+    (void)timing_profile<fp16_t>(cache, Algo::OneD, sim::gh200(), 32, 32, 32);
+  }
+  ASSERT_NE(shard.find_counter("profile_cache.misses"), nullptr);
+  EXPECT_EQ(shard.find_counter("profile_cache.misses")->value(), 1.0);
+  EXPECT_EQ(shard.find_counter("profile_cache.inserts")->value(), 1.0);
+  EXPECT_EQ(counter("profile_cache.misses"), 0.0);
+  EXPECT_EQ(counter("profile_cache.inserts"), 0.0);
+}
+
+// Caches exist once per server and fleet: each reports its own size, and no
+// process-wide size gauge is published for one cache to overwrite another's.
+TEST(ProfileCache, ClearingOneCacheLeavesAnothersSizeAlone) {
+  obs::ScopedMetricsReset reset;
+  ProfileCache a(16), b(16);
+  b.insert(synthetic_key(1), synthetic_entry(1.0));
+  b.insert(synthetic_key(2), synthetic_entry(2.0));
+  a.insert(synthetic_key(3), synthetic_entry(3.0));
+  a.clear();
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(obs::MetricRegistry::global().find_gauge("profile_cache.size"), nullptr);
+  EXPECT_EQ(counter("profile_cache.inserts"), 3.0);
+}
+
 }  // namespace
 }  // namespace kami

@@ -7,6 +7,7 @@
 #include "baselines/reference.hpp"
 #include "model/predictor.hpp"
 #include "obs/metrics.hpp"
+#include "serve/fleet.hpp"
 #include "serve/serve.hpp"
 #include "sim/deadline.hpp"
 #include "util/rng.hpp"
@@ -81,6 +82,26 @@ TEST(ServeLadder, DegradesInfeasibleThreeDToTwoD) {
   EXPECT_EQ(counter("serve.served.kami_3d"), 0.0);
 }
 
+/// Serve (m, n, k) from KAMI-3D down through `server` and `fleet`; both must
+/// land on the reference rung with the oracle's exact bits.
+template <Scalar T>
+void expect_reference_rung_exact(GemmServer& server, serve::FleetServer& fleet,
+                                 std::size_t m, std::size_t n, std::size_t k) {
+  SCOPED_TRACE(std::string(precision_name(num_traits<T>::precision)) + " " +
+               std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k));
+  const auto [A, B] = operands<T>(m, n, k, m + n + k);
+  const Matrix<T> want = baselines::reference_gemm(A, B);
+  const auto direct = server.serve<T>(Algo::ThreeD, sim::gh200(), A, B);
+  ASSERT_TRUE(direct.ok()) << direct.message;
+  EXPECT_TRUE(direct.from_reference);
+  EXPECT_EQ(direct.rung_label, "reference");
+  EXPECT_TRUE(bits_equal(direct.C, want));
+  const auto routed = fleet.serve<T>(Algo::ThreeD, A, B);
+  ASSERT_TRUE(routed.ok()) << routed.result.message;
+  EXPECT_TRUE(routed.result.from_reference);
+  EXPECT_TRUE(bits_equal(routed.result.C, want));
+}
+
 // 17^3 fp16 has no legal launch plan on any KAMI rung (17 is indivisible by
 // every warp grid); the host reference must serve it bit-correctly.
 TEST(ServeLadder, FallsBackToReferenceWhenEveryKamiRungIsInfeasible) {
@@ -94,6 +115,21 @@ TEST(ServeLadder, FallsBackToReferenceWhenEveryKamiRungIsInfeasible) {
   EXPECT_EQ(r.rung_label, "reference");
   EXPECT_TRUE(bits_equal(r.C, baselines::reference_gemm(A, B)));
   EXPECT_EQ(counter("serve.served.reference"), 1.0);
+
+  // Every served precision, tail shapes and the 384^3 class, through a
+  // standalone server and a one-device fleet: the rung runs the exact vector
+  // kernel and must reproduce the oracle's bits.
+  serve::FleetServer fleet(serve::one_device_fleet(sim::gh200()));
+  expect_reference_rung_exact<double>(server, fleet, 17, 67, 130);
+  expect_reference_rung_exact<float>(server, fleet, 17, 67, 130);
+  expect_reference_rung_exact<tf32_t>(server, fleet, 17, 67, 130);
+  expect_reference_rung_exact<fp16_t>(server, fleet, 17, 67, 130);
+  expect_reference_rung_exact<bf16_t>(server, fleet, 17, 67, 130);
+  expect_reference_rung_exact<fp8_e4m3_t>(server, fleet, 17, 67, 130);
+  expect_reference_rung_exact<fp16_t>(server, fleet, 17, 130, 67);
+  expect_reference_rung_exact<float>(server, fleet, 384, 384, 384);
+  expect_reference_rung_exact<double>(server, fleet, 384, 384, 384);
+  EXPECT_EQ(counter("serve.served.reference"), 1.0 + 2.0 * 9.0);  // 17^3 + nine per path
 }
 
 TEST(ServeLadder, DegradationCanBeDisabled) {
